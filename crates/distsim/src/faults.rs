@@ -29,18 +29,22 @@
 //!   Once the detection interval elapses, thieves drop the rank from
 //!   their believed-alive victim set and stop paying timeouts.
 //!
-//! A fault-free plan reproduces [`crate::sim::simulate`] *exactly* —
-//! same event order, same RNG draws, same makespan — which is asserted
-//! in tests and is what makes degraded-vs-healthy comparisons
-//! meaningful. See `docs/FAULT_MODEL.md` for the full contract.
+//! This module owns the simulator's one event loop per model family
+//! (static, shared counter, work stealing). [`crate::sim::simulate`] *is*
+//! the fault-free plan of these loops, so a degraded run and its healthy
+//! baseline differ only by the faults injected — same event order, same
+//! victim draws until the first fault. Rank-failure bookkeeping is
+//! skipped when the plan schedules no rank failure, which keeps the
+//! fault-free path as fast as a dedicated loop. See `docs/FAULT_MODEL.md`
+//! for the full contract.
 
 use crate::eventq::{EventQueue, WorkTracker};
-use crate::sim::{stretched, topo_levels, SimConfig, SimModel, SimReport, SplitMix};
+use crate::sim::{stretched, topo_levels, Ledger, SimConfig, SimModel, SimReport, SplitMix};
 use emx_balance::prelude::{
     full_adjacency, rebalance, semi_matching, PersistenceConfig, Problem, SemiMatchConfig,
 };
-use emx_obs::MetricsRegistry;
-use emx_sched::ChunkRule;
+use emx_obs::{EventKind, MetricsRegistry};
+use emx_sched::{random_victim, round_robin_victim, ChunkRule, VictimPolicy};
 use std::collections::VecDeque;
 
 /// A scheduled fail-stop failure of one simulated rank.
@@ -95,9 +99,9 @@ impl RecoveryPolicy {
 
 /// Deterministic fault schedule for one simulated run.
 ///
-/// The default plan is fault-free and reproduces the healthy simulator
-/// bit-for-bit; builder methods ([`FaultPlan::with_rank_failure`] etc.)
-/// switch individual faults on.
+/// The default plan is fault-free — the plan [`crate::sim::simulate`]
+/// runs; builder methods ([`FaultPlan::with_rank_failure`] etc.) switch
+/// individual faults on.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     /// Seed for the fault-fate RNG (message drop/delay draws). This is
@@ -124,8 +128,8 @@ pub struct FaultPlan {
     /// much waiting before it retries.
     pub rpc_timeout: f64,
     /// First exponential-backoff wait (s) after a failed steal. `0`
-    /// disables backoff (and is required for fault-free baseline
-    /// equality).
+    /// (the default, and what [`crate::sim::simulate`] runs) disables
+    /// backoff.
     pub backoff_base: f64,
     /// Multiplier applied to the backoff wait per consecutive failure.
     pub backoff_factor: f64,
@@ -158,8 +162,8 @@ impl Default for FaultPlan {
 }
 
 impl FaultPlan {
-    /// A plan injecting nothing — [`simulate_with_faults`] under this
-    /// plan reproduces [`crate::sim::simulate`] exactly.
+    /// A plan injecting nothing: [`simulate_with_faults`] under this
+    /// plan is [`crate::sim::simulate`].
     pub fn fault_free() -> FaultPlan {
         FaultPlan::default()
     }
@@ -277,8 +281,13 @@ pub struct FaultReport {
 
 /// Runs `costs` under `model` with faults injected per `plan`.
 ///
-/// With [`FaultPlan::fault_free`], this is event-for-event identical to
-/// [`crate::sim::simulate`].
+/// Every model family has exactly one event loop, and this is its entry
+/// point: [`crate::sim::simulate`] is this function under
+/// [`FaultPlan::fault_free`]. The report's `assignment` names the worker
+/// that completed each task (`u32::MAX` for a lost task), and with
+/// [`SimConfig::events`] on every completed task emits one
+/// start/end event pair — an execution cut short by a rank failure
+/// emits none.
 pub fn simulate_with_faults(
     costs: &[f64],
     model: &SimModel,
@@ -323,12 +332,24 @@ pub fn simulate_with_faults(
             cfg,
             plan,
         ),
-        SimModel::WorkStealing { steal_half } => {
-            faulty_stealing(costs, *steal_half, &[], None, cfg, plan)
-        }
-        SimModel::SeededStealing { owners, steal_half } => {
-            faulty_stealing(costs, *steal_half, &[], Some(owners), cfg, plan)
-        }
+        SimModel::WorkStealing { steal_half } => faulty_stealing(
+            costs,
+            *steal_half,
+            &[],
+            None,
+            VictimPolicy::Random,
+            cfg,
+            plan,
+        ),
+        SimModel::SeededStealing { owners, steal_half } => faulty_stealing(
+            costs,
+            *steal_half,
+            &[],
+            Some(owners),
+            VictimPolicy::Random,
+            cfg,
+            plan,
+        ),
         SimModel::HierarchicalStealing {
             steal_half,
             node_size,
@@ -338,6 +359,7 @@ pub fn simulate_with_faults(
             *steal_half,
             &[((*node_size).max(1), remote_factor.max(1.0))],
             None,
+            VictimPolicy::Random,
             cfg,
             plan,
         ),
@@ -346,6 +368,7 @@ pub fn simulate_with_faults(
             *steal_half,
             &topo_levels(&cfg.machine),
             None,
+            VictimPolicy::Random,
             cfg,
             plan,
         ),
@@ -375,8 +398,12 @@ pub fn publish_fault_metrics(metrics: &MetricsRegistry, prefix: &str, report: &F
     }
 }
 
-/// Earliest scheduled death per worker.
+/// Earliest scheduled death per worker of `p`; empty when the plan
+/// schedules no rank failure (the loops then never look a death up).
 fn death_times(p: usize, plan: &FaultPlan) -> Vec<Option<f64>> {
+    if plan.rank_failures.is_empty() {
+        return Vec::new();
+    }
     let mut d: Vec<Option<f64>> = vec![None; p];
     for f in &plan.rank_failures {
         d[f.rank] = Some(d[f.rank].map_or(f.at, |x: f64| x.min(f.at)));
@@ -428,19 +455,22 @@ fn assign_orphans(weights: &[f64], survivor_loads: &[f64], policy: RecoveryPolic
     }
 }
 
-fn faulty_static(costs: &[f64], owners: &[u32], cfg: &SimConfig, plan: &FaultPlan) -> FaultReport {
+/// The static family: each worker runs its owned tasks in order. A
+/// rank that fail-stops orphans its residual list, which survivors run
+/// after the failure is detected.
+pub(crate) fn faulty_static(
+    costs: &[f64],
+    owners: &[u32],
+    cfg: &SimConfig,
+    plan: &FaultPlan,
+) -> FaultReport {
     assert_eq!(owners.len(), costs.len(), "assignment length mismatch");
     let p = cfg.workers;
     let m = &cfg.machine;
+    let failures = !plan.rank_failures.is_empty();
     let death = death_times(p, plan);
-    let mut busy = vec![0.0; p];
     let mut clock = vec![0.0; p];
-    let mut tasks = vec![0usize; p];
-    let mut traces = if cfg.trace {
-        vec![Vec::new(); p]
-    } else {
-        Vec::new()
-    };
+    let mut ledger = Ledger::new(costs.len(), cfg);
     let mut stats = FaultStats::default();
     // (task, origin rank) in task order.
     let mut orphans: Vec<(usize, usize)> = Vec::new();
@@ -448,42 +478,29 @@ fn faulty_static(costs: &[f64], owners: &[u32], cfg: &SimConfig, plan: &FaultPla
     for (i, &w) in owners.iter().enumerate() {
         let w = w as usize;
         assert!(w < p, "owner out of range");
-        if let Some(dt) = death[w] {
-            if clock[w] >= dt {
-                orphans.push((i, w));
-                continue;
-            }
-        }
         let dur = stretched(costs[i], w, clock[w], cfg) + m.dispatch_overhead;
-        if let Some(dt) = death[w] {
-            if clock[w] + dur > dt {
-                // Killed mid-task: partial progress is lost and the
-                // task is orphaned along with the rest of the list.
-                busy[w] += dt - clock[w];
-                clock[w] = dt;
-                orphans.push((i, w));
-                continue;
-            }
+        let dies = if failures { death[w] } else { None };
+        if let Some(dt) = dies.filter(|&dt| clock[w] >= dt || clock[w] + dur > dt) {
+            // Dead, or killed mid-task: partial progress is lost and the
+            // task is orphaned along with the rest of the list.
+            ledger.busy[w] += (dt - clock[w]).max(0.0);
+            clock[w] = clock[w].max(dt);
+            orphans.push((i, w));
+            continue;
         }
-        if cfg.trace {
-            traces[w].push((clock[w], clock[w] + dur));
-        }
+        ledger.run(w, i, clock[w], dur);
         clock[w] += dur;
-        busy[w] += dur;
-        tasks[w] += 1;
     }
 
-    stats.injected = death.iter().flatten().count() as u64;
-    stats.orphaned = orphans.len() as u64;
-    let survivors: Vec<usize> = (0..p).filter(|&w| death[w].is_none()).collect();
-    if !survivors.is_empty() {
-        // Heartbeat detection: every death is eventually noticed.
-        stats.detected = stats.injected;
-    }
-    if !orphans.is_empty() {
+    if failures {
+        stats.injected = death.iter().flatten().count() as u64;
+        stats.orphaned = orphans.len() as u64;
+        let survivors: Vec<usize> = (0..p).filter(|&w| death[w].is_none()).collect();
         if survivors.is_empty() {
             stats.lost = orphans.len() as u64;
         } else {
+            // Heartbeat detection: every death is eventually noticed.
+            stats.detected = stats.injected;
             let weights: Vec<f64> = orphans.iter().map(|&(i, _)| costs[i]).collect();
             let loads: Vec<f64> = survivors.iter().map(|&s| clock[s]).collect();
             let assign = assign_orphans(&weights, &loads, plan.recovery);
@@ -494,36 +511,30 @@ fn faulty_static(costs: &[f64], owners: &[u32], cfg: &SimConfig, plan: &FaultPla
                 // detected and the reassignment round trip completes.
                 let start = clock[s].max(dt + plan.detection_interval + m.round_trip());
                 let dur = stretched(costs[i], s, start, cfg) + m.dispatch_overhead;
-                if cfg.trace {
-                    traces[s].push((start, start + dur));
-                }
+                ledger.run(s, i, start, dur);
                 clock[s] = start + dur;
-                busy[s] += dur;
-                tasks[s] += 1;
                 stats.recovered += 1;
                 stats.recovery_latency.push(start + dur - dt);
             }
         }
     }
 
+    let makespan = clock.iter().cloned().fold(0.0, f64::max);
     FaultReport {
-        sim: SimReport {
-            makespan: clock.iter().cloned().fold(0.0, f64::max),
-            busy,
-            tasks,
-            steals: 0,
-            steal_attempts: 0,
-            counter_fetches: 0,
-            comm: Vec::new(),
-            traces,
-            assignment: Vec::new(),
-            events: Vec::new(),
-        },
+        sim: ledger.report(makespan, 0, 0, 0),
         faults: stats,
     }
 }
 
-fn faulty_counter(
+/// The shared-counter family: `groups` independent counters each serve
+/// a worker group. With `refill: None` every counter statically owns a
+/// block slice of the task range (the Counter/Guided/GroupCounters
+/// models). With `refill: Some(block)` the counters are *leaves of a
+/// hierarchical NXTVAL tree*: they start empty and claim `block`-task
+/// ranges from a root counter on demand, so work balances globally
+/// while the root is contacted only once per block. Each fetch claims
+/// what `rule` dictates.
+pub(crate) fn faulty_counter(
     costs: &[f64],
     rule: ChunkRule,
     groups: usize,
@@ -542,8 +553,10 @@ fn faulty_counter(
         group_size[wgroup(w)] += 1;
     }
 
+    // Rank-failure bookkeeping is skipped when no rank can die.
+    let failures = !plan.rank_failures.is_empty();
     let death = death_times(p, plan);
-    let mut dead = vec![false; p];
+    let mut dead = vec![false; death.len()];
     // Workers scheduled to die whose death has not been processed yet —
     // while any exist, idle survivors park instead of retiring because
     // orphans may still appear.
@@ -553,15 +566,24 @@ fn faulty_counter(
     // survivors in other groups can pick it up.
     let mut alive_in_group = group_size.clone();
     let mut stats = FaultStats::default();
+    // A request reaching the outage-prone counter host at `start` while
+    // it is down stalls until the backup host takes over.
     let mut outage_fired = false;
-
-    let mut busy = vec![0.0; p];
-    let mut tasks = vec![0usize; p];
-    let mut traces = if cfg.trace {
-        vec![Vec::new(); p]
-    } else {
-        Vec::new()
+    let mut outage = |start: f64, stats: &mut FaultStats| -> f64 {
+        match plan.counter_outage {
+            Some(o) if start >= o.at && start < o.at + o.failover => {
+                if !outage_fired {
+                    outage_fired = true;
+                    stats.injected += 1;
+                    stats.counter_failovers += 1;
+                }
+                o.at + o.failover
+            }
+            _ => start,
+        }
     };
+
+    let mut ledger = Ledger::new(n, cfg);
     let mut fetches = 0u64;
     // Unclaimed range of each counter: a static block slice (no
     // refill), or empty-until-refilled from the root (hierarchical).
@@ -584,58 +606,57 @@ fn faulty_counter(
     // the originating failure is detected (`recovery_open`).
     let mut recovery: VecDeque<usize> = VecDeque::new();
     let mut recovery_open = f64::INFINITY;
-    let mut orphan_death = vec![f64::NAN; n];
+    let mut orphan_death = vec![f64::NAN; if failures { n } else { 0 }];
     let mut parked: Vec<(usize, f64)> = Vec::new();
     let mut claim_buf: Vec<usize> = Vec::new();
     let mut fate = SplitMix::new(plan.seed ^ 0x0bad_cafe);
 
+    // Queue of (arrival time at the group's counter, worker).
     let mut q = EventQueue::with_capacity(cfg.queue, p);
     for w in 0..p {
         q.push(m.latency, w);
     }
 
-    while let Some((arrival, w)) = q.pop() {
-        if dead[w] {
+    while let Some((sent, w)) = q.pop() {
+        if failures && dead[w] {
             continue;
         }
-        if let Some(dt) = death[w] {
-            if arrival >= dt {
-                // Died while idle or in flight: it held no claimed
-                // tasks, so nothing it owned is orphaned — but if it
-                // was the last live rank of its group, the group's
-                // unclaimed range is.
-                dead[w] = true;
-                undead -= 1;
-                stats.injected += 1;
-                stats.detected += 1;
-                let g = wgroup(w);
-                alive_in_group[g] -= 1;
-                if alive_in_group[g] == 0 && leaf_lo[g] < leaf_hi[g] {
-                    for od in &mut orphan_death[leaf_lo[g]..leaf_hi[g]] {
-                        *od = dt;
-                    }
-                    recovery.extend(leaf_lo[g]..leaf_hi[g]);
-                    stats.orphaned += (leaf_hi[g] - leaf_lo[g]) as u64;
-                    recovery_open = recovery_open.min(dt + plan.detection_interval);
-                    leaf_lo[g] = leaf_hi[g];
+        let dies = if failures { death[w] } else { None };
+        if let Some(dt) = dies.filter(|&dt| sent >= dt) {
+            // Died while idle or in flight: it held no claimed tasks,
+            // so nothing it owned is orphaned — but if it was the last
+            // live rank of its group, the group's unclaimed range is.
+            dead[w] = true;
+            undead -= 1;
+            stats.injected += 1;
+            stats.detected += 1;
+            let g = wgroup(w);
+            alive_in_group[g] -= 1;
+            if alive_in_group[g] == 0 && leaf_lo[g] < leaf_hi[g] {
+                for od in &mut orphan_death[leaf_lo[g]..leaf_hi[g]] {
+                    *od = dt;
                 }
-                // Wake parked survivors: either orphans just appeared
-                // for them to claim, or no deaths remain pending and
-                // they can retire.
-                if !recovery.is_empty() || undead == 0 {
-                    for (pw, pt) in parked.drain(..) {
-                        let wake = if recovery.is_empty() {
-                            pt
-                        } else {
-                            recovery_open.max(pt)
-                        };
-                        q.push(wake, pw);
-                    }
-                }
-                continue;
+                recovery.extend(leaf_lo[g]..leaf_hi[g]);
+                stats.orphaned += (leaf_hi[g] - leaf_lo[g]) as u64;
+                recovery_open = recovery_open.min(dt + plan.detection_interval);
+                leaf_lo[g] = leaf_hi[g];
             }
+            // Wake parked survivors: either orphans just appeared for
+            // them to claim, or no deaths remain pending and they can
+            // retire.
+            if !recovery.is_empty() || undead == 0 {
+                for (pw, pt) in parked.drain(..) {
+                    let wake = if recovery.is_empty() {
+                        pt
+                    } else {
+                        recovery_open.max(pt)
+                    };
+                    q.push(wake, pw);
+                }
+            }
+            continue;
         }
-        let mut arrival = arrival;
+        let mut arrival = sent;
         // Transient message faults on the fetch request.
         if plan.drop_prob > 0.0 && fate.unit() < plan.drop_prob {
             stats.dropped_messages += 1;
@@ -652,18 +673,7 @@ fn faulty_counter(
         // The group's counter host serializes its fetches.
         let mut start = arrival.max(counter_free[g]);
         if g == 0 && refill.is_none() {
-            if let Some(o) = plan.counter_outage {
-                if start >= o.at && start < o.at + o.failover {
-                    // Counter host down: the fetch stalls until the
-                    // backup host takes over.
-                    start = o.at + o.failover;
-                    if !outage_fired {
-                        outage_fired = true;
-                        stats.injected += 1;
-                        stats.counter_failovers += 1;
-                    }
-                }
-            }
+            start = outage(start, &mut stats);
         }
         counter_free[g] = start + m.counter_service;
         fetches += 1;
@@ -674,17 +684,8 @@ fn faulty_counter(
                     // counter (an extra serialized round trip). In the
                     // hierarchical tree the *root* is the outage-prone
                     // shared host.
-                    let mut root_start = (counter_free[g] + m.latency).max(root_free);
-                    if let Some(o) = plan.counter_outage {
-                        if root_start >= o.at && root_start < o.at + o.failover {
-                            root_start = o.at + o.failover;
-                            if !outage_fired {
-                                outage_fired = true;
-                                stats.injected += 1;
-                                stats.counter_failovers += 1;
-                            }
-                        }
-                    }
+                    let root_start =
+                        outage((counter_free[g] + m.latency).max(root_free), &mut stats);
                     root_free = root_start + m.counter_service;
                     fetches += 1;
                     let take = block.min(n - root_next);
@@ -696,16 +697,19 @@ fn faulty_counter(
             }
         }
         let response = counter_free[g] + m.latency;
+        // The worker sent this fetch one network latency before it
+        // reached the counter host.
+        ledger.event(w, EventKind::CounterFetchStart, 0, sent - m.latency);
+        ledger.event(w, EventKind::CounterFetchEnd, leaf_lo[g] as u64, response);
 
-        // Claim: the worker's own counter first, then the recovery
-        // queue.
-        claim_buf.clear();
+        // Claim: the worker's own counter first (a range), then the
+        // recovery queue (into `claim_buf`).
+        let mut leaf_claim = 0..0;
         if leaf_lo[g] < leaf_hi[g] {
             let remaining = leaf_hi[g] - leaf_lo[g];
-            let chunk = rule.claim(remaining, group_size[g]);
             let begin = leaf_lo[g];
-            leaf_lo[g] = begin + chunk;
-            claim_buf.extend(begin..begin + chunk);
+            leaf_lo[g] = begin + rule.claim(remaining, group_size[g]);
+            leaf_claim = begin..leaf_lo[g];
         } else if !recovery.is_empty() {
             if response < recovery_open {
                 // Orphans exist but the failure is not yet detected —
@@ -724,51 +728,41 @@ fn faulty_counter(
             continue; // range exhausted, no recovery work: retire
         }
 
-        // Execute the claim, honoring a mid-chunk death.
+        // Execute the claim, honoring a death before or during a task:
+        // partial progress is lost, and that task and the rest of the
+        // claim are orphaned.
+        let mut claim = leaf_claim.chain(claim_buf.drain(..));
         let mut t = response;
         let mut died_at: Option<f64> = None;
-        let mut first_unrun = claim_buf.len();
-        for (k, &i) in claim_buf.iter().enumerate() {
-            if let Some(dt) = death[w] {
-                if t >= dt {
-                    died_at = Some(dt);
-                    first_unrun = k;
-                    break;
-                }
-            }
+        let first_orphan = recovery.len();
+        for i in claim.by_ref() {
             let dur = stretched(costs[i], w, t, cfg) + m.dispatch_overhead;
-            if let Some(dt) = death[w] {
-                if t + dur > dt {
-                    busy[w] += dt - t;
-                    t = dt;
-                    died_at = Some(dt);
-                    first_unrun = k;
-                    break;
-                }
+            if let Some(dt) = dies.filter(|&dt| t >= dt || t + dur > dt) {
+                ledger.busy[w] += (dt - t).max(0.0);
+                t = t.max(dt);
+                died_at = Some(dt);
+                recovery.push_back(i);
+                break;
             }
-            if cfg.trace {
-                traces[w].push((t, t + dur));
-            }
+            ledger.run(w, i, t, dur);
             t += dur;
-            busy[w] += dur;
-            tasks[w] += 1;
             executed += 1;
-            if !orphan_death[i].is_nan() {
+            if failures && !orphan_death[i].is_nan() {
                 stats.recovered += 1;
                 stats.recovery_latency.push(t - orphan_death[i]);
             }
         }
+        recovery.extend(claim);
         makespan = makespan.max(t);
         if let Some(dt) = died_at {
             dead[w] = true;
             undead -= 1;
             stats.injected += 1;
             stats.detected += 1;
-            for &i in &claim_buf[first_unrun..] {
+            for &i in recovery.range(first_orphan..) {
                 orphan_death[i] = dt;
-                recovery.push_back(i);
-                stats.orphaned += 1;
             }
+            stats.orphaned += (recovery.len() - first_orphan) as u64;
             alive_in_group[g] -= 1;
             if alive_in_group[g] == 0 && leaf_lo[g] < leaf_hi[g] {
                 // Last rank of the group: nobody is left to claim the
@@ -785,24 +779,14 @@ fn faulty_counter(
                 q.push(recovery_open.max(pt), pw);
             }
         } else {
+            // Request the next chunk.
             q.push(t + m.latency, w);
         }
     }
 
     stats.lost = (n - executed) as u64;
     FaultReport {
-        sim: SimReport {
-            makespan,
-            busy,
-            tasks,
-            steals: 0,
-            steal_attempts: 0,
-            counter_fetches: fetches,
-            comm: Vec::new(),
-            traces,
-            assignment: Vec::new(),
-            events: Vec::new(),
-        },
+        sim: ledger.report(makespan, 0, 0, fetches),
         faults: stats,
     }
 }
@@ -856,11 +840,21 @@ impl Liveness {
     }
 }
 
-fn faulty_stealing(
+/// The work-stealing family. `levels` lists nested locality domains,
+/// innermost first, as `(domain size in workers, latency divisor)`: a
+/// thief probes the innermost domain that still holds work and draws a
+/// uniform victim there at `steal_latency / divisor`, falling back to a
+/// global draw under `victim_policy` at full latency. An empty slice is
+/// flat stealing; one level is [`SimModel::HierarchicalStealing`]; two
+/// levels are the node/rack topology of [`SimModel::TopologyStealing`].
+/// Deques are seeded from `seed_owners`, or block-wise (the static
+/// baseline's initial locality).
+pub(crate) fn faulty_stealing(
     costs: &[f64],
     steal_half: bool,
     levels: &[(usize, f64)],
     seed_owners: Option<&[u32]>,
+    victim_policy: VictimPolicy,
     cfg: &SimConfig,
     plan: &FaultPlan,
 ) -> FaultReport {
@@ -883,44 +877,53 @@ fn faulty_stealing(
             }
         }
     }
+    // Rank-failure bookkeeping (liveness, queued load for orphan
+    // placement, orphan accounting) is skipped when no rank can die:
+    // the believed-alive victim set is then every rank, and the victim
+    // draw indexes ranks directly.
+    let failures = !plan.rank_failures.is_empty();
     let death = death_times(p, plan);
-    let mut live = Liveness::new(p);
-    for (w, q) in queues.iter().enumerate() {
-        live.qload[w] = q.iter().map(|&i| costs[i]).sum();
+    let mut live = Liveness::new(death.len());
+    if failures {
+        for (w, q) in queues.iter().enumerate() {
+            live.qload[w] = q.iter().map(|&i| costs[i]).sum();
+        }
     }
+    // Nonempty-queue counters per domain — O(1) "who still has work"
+    // answers instead of O(P) scans per steal attempt.
     let level_sizes: Vec<usize> = levels.iter().map(|&(s, _)| s).collect();
     let mut tracker = WorkTracker::new(p, &level_sizes);
     for (w, q) in queues.iter().enumerate() {
         tracker.update(w, !q.is_empty());
     }
     let mut stats = FaultStats::default();
-    let mut orphan_death = vec![f64::NAN; n];
+    let mut orphan_death = vec![f64::NAN; if failures { n } else { 0 }];
     // Pending redistributions `(due time, batch serial, orphans)`,
     // sorted by descending key so the earliest batch pops from the
     // back; the serial keeps same-time batches in death order.
     let mut redis: Vec<(f64, u64, Vec<usize>)> = Vec::new();
     let mut redis_ser = 0u64;
     let mut backoff_k = vec![0u32; p];
-    // Stolen tasks in transit to each thief (see the stealing loop in
-    // `sim.rs`): they leave the victim at the steal decision and land
-    // at the thief's arrival event, so an in-flight task cannot be
-    // re-stolen — the endgame livelock where two idle survivors pass
-    // the last task back and forth forever is structurally impossible.
+    // Stolen tasks in transit to each thief: they leave the victim's
+    // queue at the steal decision but only become visible (and
+    // stealable again) when the thief's arrival event fires. Without
+    // this, two idle workers can pass the last task back and forth
+    // forever, each re-stealing it before the other's arrival event
+    // executes it — a deterministic livelock.
     let mut fly: Vec<Vec<usize>> = vec![Vec::new(); p];
     let mut flying = 0usize;
 
     let mut remaining = n;
-    let mut busy = vec![0.0; p];
-    let mut tasks = vec![0usize; p];
-    let mut traces = if cfg.trace {
-        vec![Vec::new(); p]
-    } else {
-        Vec::new()
-    };
+    let mut ledger = Ledger::new(n, cfg);
+    // Per-worker "hunting for work" state, for event emission only
+    // (IdleStart on entering the hunt, StealSuccess/IdleEnd on leaving).
+    let mut hunting = vec![false; p];
     let mut steals = 0u64;
     let mut attempts = 0u64;
     let mut makespan = 0.0f64;
     let mut rng = SplitMix::new(cfg.seed);
+    // Round-robin victim selection scans per-worker (no RNG draw).
+    let mut rr_attempts = vec![0u64; p];
     let mut fate = SplitMix::new(plan.seed ^ 0x0bad_cafe);
 
     let mut q = EventQueue::with_capacity(cfg.queue, p);
@@ -938,27 +941,29 @@ fn faulty_stealing(
     };
 
     while let Some((t, w)) = q.pop() {
-        live.run_detections(t);
-        // Redistribute any orphan batch whose detection time has passed.
-        while redis.last().is_some_and(|&(due, _, _)| due <= t) {
-            let (_, _, orphans) = redis.pop().expect("checked non-empty");
-            if live.alive_now.is_empty() {
-                continue; // unreachable: the popped worker is alive
+        if failures {
+            live.run_detections(t);
+            // Redistribute any orphan batch whose detection time has
+            // passed.
+            while redis.last().is_some_and(|&(due, _, _)| due <= t) {
+                let (_, _, orphans) = redis.pop().expect("checked non-empty");
+                if live.alive_now.is_empty() {
+                    continue; // unreachable: the popped worker is alive
+                }
+                stats.detected += 1;
+                let weights: Vec<f64> = orphans.iter().map(|&i| costs[i]).collect();
+                let loads: Vec<f64> = live.alive_now.iter().map(|&s| live.qload[s]).collect();
+                let assign = assign_orphans(&weights, &loads, plan.recovery);
+                for (k, &i) in orphans.iter().enumerate() {
+                    let s = live.alive_now[assign[k]];
+                    queues[s].push_back(i);
+                    live.qload[s] += costs[i];
+                    tracker.update(s, true);
+                }
             }
-            stats.detected += 1;
-            let weights: Vec<f64> = orphans.iter().map(|&i| costs[i]).collect();
-            let loads: Vec<f64> = live.alive_now.iter().map(|&s| live.qload[s]).collect();
-            let assign = assign_orphans(&weights, &loads, plan.recovery);
-            for (k, &i) in orphans.iter().enumerate() {
-                let s = live.alive_now[assign[k]];
-                queues[s].push_back(i);
-                live.qload[s] += costs[i];
-                tracker.update(s, true);
+            if live.dead[w] {
+                continue;
             }
-        }
-
-        if live.dead[w] {
-            continue;
         }
         // Land any stolen haul that rode this worker's arrival event.
         // Landing precedes the death check so a thief killed mid-return
@@ -966,85 +971,73 @@ fn faulty_stealing(
         if !fly[w].is_empty() {
             flying -= fly[w].len();
             for i in std::mem::take(&mut fly[w]) {
-                live.qload[w] += costs[i];
+                if failures {
+                    live.qload[w] += costs[i];
+                }
                 queues[w].push_back(i);
             }
             tracker.update(w, true);
         }
-        if let Some(dt) = death[w] {
-            if t >= dt {
-                // Fail-stop: freeze and orphan the queue; survivors
-                // redistribute it after the detection interval.
-                die(
-                    w,
-                    dt,
-                    &mut live,
-                    &mut tracker,
-                    &mut queues,
-                    &mut orphan_death,
-                    &mut redis,
-                    &mut redis_ser,
-                    &mut stats,
-                    plan,
-                );
-                continue;
+        let next = queues[w]
+            .pop_front()
+            .map(|i| (i, stretched(costs[i], w, t, cfg) + m.dispatch_overhead));
+        let dies = if failures { death[w] } else { None };
+        if let Some(dt) = dies.filter(|&dt| t >= dt || next.is_some_and(|(_, d)| t + d > dt)) {
+            // Fail-stop, idle or mid-task: partial progress is lost, the
+            // task rejoins the queue, and the queue is frozen and
+            // orphaned; survivors redistribute it after the detection
+            // interval.
+            if let Some((i, _)) = next {
+                ledger.busy[w] += (dt - t).max(0.0);
+                queues[w].push_front(i);
             }
+            die(
+                w,
+                dt,
+                &mut live,
+                &mut tracker,
+                &mut queues,
+                &mut orphan_death,
+                &mut redis,
+                &mut redis_ser,
+                &mut stats,
+                plan,
+            );
+            continue;
         }
-        if let Some(i) = queues[w].pop_front() {
-            let dur = stretched(costs[i], w, t, cfg) + m.dispatch_overhead;
-            if let Some(dt) = death[w] {
-                if t + dur > dt {
-                    // Killed mid-task: partial progress lost, the task
-                    // rejoins the (now orphaned) queue.
-                    busy[w] += dt - t;
-                    queues[w].push_front(i);
-                    die(
-                        w,
-                        dt,
-                        &mut live,
-                        &mut tracker,
-                        &mut queues,
-                        &mut orphan_death,
-                        &mut redis,
-                        &mut redis_ser,
-                        &mut stats,
-                        plan,
-                    );
-                    continue;
-                }
-            }
-            live.qload[w] -= costs[i];
+        if let Some((i, dur)) = next {
             tracker.update(w, !queues[w].is_empty());
-            if cfg.trace {
-                traces[w].push((t, t + dur));
-            }
-            busy[w] += dur;
-            tasks[w] += 1;
+            ledger.run(w, i, t, dur);
             remaining -= 1;
             makespan = makespan.max(t + dur);
-            if !orphan_death[i].is_nan() {
-                stats.recovered += 1;
-                stats.recovery_latency.push(t + dur - orphan_death[i]);
+            if failures {
+                live.qload[w] -= costs[i];
+                if !orphan_death[i].is_nan() {
+                    stats.recovered += 1;
+                    stats.recovery_latency.push(t + dur - orphan_death[i]);
+                }
             }
             backoff_k[w] = 0;
             q.push(t + dur, w);
             continue;
         }
-        if remaining == 0 {
-            continue; // global termination: worker retires
-        }
-        // No local work. If no queue holds work, nothing is in flight,
-        // and no redistribution is pending, the remaining tasks are
-        // unreachable (their holders died with no survivors to hand
-        // them to) — retire cleanly.
         if !tracker.any() && redis.is_empty() && flying == 0 {
+            // Nothing left to run or steal: every task has started, or
+            // the rest died with no survivor to hand them to. Retire
+            // instead of spinning forever on silent victims.
+            if hunting[w] {
+                ledger.event(w, EventKind::IdleEnd, 0, t);
+                hunting[w] = false;
+            }
             continue;
         }
+        if !hunting[w] {
+            ledger.event(w, EventKind::IdleStart, 0, t);
+            hunting[w] = true;
+        }
         attempts += 1;
-        // Innermost topology level with known work wins; otherwise fall
-        // back to a uniform draw over the ranks still believed alive
-        // (dead ranks keep getting hit until detection — those requests
-        // time out below).
+        // Innermost locality domain that still holds work, if any: draw
+        // a uniform victim there at the level's discounted latency.
         let mut pick: Option<(usize, f64)> = None;
         for (l, &(size, factor)) in levels.iter().enumerate() {
             let lo = w / size * size;
@@ -1059,91 +1052,100 @@ fn faulty_stealing(
                 break;
             }
         }
-        let (victim, latency) = match pick {
-            Some(hit) => hit,
-            None => {
-                let k = live.alive.len();
-                if k >= 2 {
-                    let mut idx = (rng.next() as usize) % (k - 1);
-                    if idx >= live.alive_pos[w] {
-                        idx += 1;
+        // Otherwise a global draw over the ranks believed alive (every
+        // rank while none can die; dead ranks keep getting hit until
+        // their death is detected — those requests time out below).
+        let (victim, latency) = pick.unwrap_or_else(|| {
+            let (me, k) = if failures {
+                (live.alive_pos[w], live.alive.len())
+            } else {
+                (w, p)
+            };
+            let v = if k < 2 {
+                me
+            } else {
+                match victim_policy {
+                    VictimPolicy::Random => random_victim(rng.next(), me, k),
+                    VictimPolicy::RoundRobin => {
+                        let v = round_robin_victim(me, rr_attempts[w], k);
+                        rr_attempts[w] += 1;
+                        v
                     }
-                    (live.alive[idx], m.steal_latency)
-                } else {
-                    (w, m.steal_latency)
                 }
-            }
-        };
-        // Transient faults on the steal request.
+            };
+            (if failures { live.alive[v] } else { v }, m.steal_latency)
+        });
+        ledger.event(w, EventKind::StealAttempt, victim as u64, t);
+        // Transient faults on the steal request, and dead victims: no
+        // response ever comes, and the thief abandons the round trip
+        // after the timeout.
+        let mut t_resolved = t + latency;
+        let mut timed_out = false;
         if plan.drop_prob > 0.0 && fate.unit() < plan.drop_prob {
             stats.dropped_messages += 1;
             stats.injected += 1;
-            backoff_k[w] += 1;
-            q.push(t + plan.rpc_timeout + backoff(backoff_k[w]), w);
-            continue;
-        }
-        let mut t_resolved = t + latency;
-        if plan.delay_prob > 0.0 && fate.unit() < plan.delay_prob {
-            stats.delayed_messages += 1;
-            stats.injected += 1;
-            t_resolved += plan.delay;
-        }
-        if victim != w && death[victim].is_some_and(|dt| dt <= t_resolved) {
-            // Dead victim: no response ever comes. The thief abandons
-            // the round trip after the timeout and backs off.
-            stats.rpc_timeouts += 1;
-            backoff_k[w] += 1;
-            q.push(t + plan.rpc_timeout + backoff(backoff_k[w]), w);
-            continue;
+            timed_out = true;
+        } else {
+            if plan.delay_prob > 0.0 && fate.unit() < plan.delay_prob {
+                stats.delayed_messages += 1;
+                stats.injected += 1;
+                t_resolved += plan.delay;
+            }
+            if failures && victim != w && death[victim].is_some_and(|dt| dt <= t_resolved) {
+                stats.rpc_timeouts += 1;
+                timed_out = true;
+            }
         }
         let qlen = queues[victim].len();
-        if victim != w && qlen > 0 {
+        if !timed_out && victim != w && qlen > 0 {
             let take = if steal_half { qlen.div_ceil(2) } else { 1 };
-            // The haul is in flight until the thief's arrival event —
-            // invisible to other thieves, so the last task cannot
-            // ping-pong between idle survivors forever.
+            // Steal from the back (cold end), like Chase–Lev thieves.
+            // The haul rides the return trip: it lands at the arrival
+            // event, not in the thief's queue now.
             for _ in 0..take {
                 if let Some(task) = queues[victim].pop_back() {
                     fly[w].push(task);
                     flying += 1;
-                    live.qload[victim] -= costs[task];
+                    if failures {
+                        live.qload[victim] -= costs[task];
+                    }
                 }
             }
             tracker.update(victim, !queues[victim].is_empty());
             steals += 1;
+            ledger.event(w, EventKind::StealSuccess, victim as u64, t_resolved);
+            hunting[w] = false;
             backoff_k[w] = 0;
             q.push(t_resolved + take as f64 * m.steal_transfer, w);
+            continue;
+        }
+        // Failed attempt.
+        let failed_at = if timed_out {
+            t + plan.rpc_timeout
         } else {
-            // Failed attempt: back off, but never retry earlier than the
-            // next event (or the next pending redistribution, which may
-            // be the only future work source).
-            backoff_k[w] += 1;
-            let mut retry = t_resolved + backoff(backoff_k[w]);
-            let next_event = q.peek_time().unwrap_or(t_resolved);
-            retry = retry.max(next_event);
+            t_resolved
+        };
+        ledger.event(w, EventKind::StealFail, victim as u64, failed_at);
+        // Back off, but never retry an answered probe earlier than the
+        // next event (or the next pending redistribution, which may be
+        // the only future work source), so zero-latency machines cannot
+        // livelock at a frozen timestamp.
+        backoff_k[w] += 1;
+        let mut retry = failed_at + backoff(backoff_k[w]);
+        if !timed_out {
+            retry = retry.max(q.peek_time().unwrap_or(t_resolved));
             if retry <= t {
                 if let Some(&(due, _, _)) = redis.last() {
                     retry = retry.max(due);
                 }
             }
-            q.push(retry, w);
         }
+        q.push(retry, w);
     }
 
     stats.lost = remaining as u64;
     FaultReport {
-        sim: SimReport {
-            makespan,
-            busy,
-            tasks,
-            steals,
-            steal_attempts: attempts,
-            counter_fetches: 0,
-            comm: Vec::new(),
-            traces,
-            assignment: Vec::new(),
-            events: Vec::new(),
-        },
+        sim: ledger.report(makespan, steals, attempts, 0),
         faults: stats,
     }
 }
@@ -1234,32 +1236,97 @@ mod tests {
         ]
     }
 
+    /// Fail-stop of two ranks plus lossy, late messages.
+    fn chaos_plan(costs: &[f64], p: usize) -> FaultPlan {
+        let total: f64 = costs.iter().sum();
+        FaultPlan::fault_free()
+            .with_rank_failure(1, 0.1 * total / p as f64)
+            .with_rank_failure(4, 0.3 * total / p as f64)
+            .with_message_faults(0.1, 0.1, 20e-6)
+            .with_backoff(10e-6, 2.0, 1e-3)
+    }
+
     #[test]
-    fn fault_free_plan_reproduces_baseline() {
-        let costs = skewed(128);
-        let cfg = SimConfig::new(8);
-        let plan = FaultPlan::fault_free();
-        assert!(plan.is_fault_free());
-        for model in all_models(128, 8) {
-            let healthy = simulate(&costs, &model, &cfg);
-            let faulty = simulate_with_faults(&costs, &model, &cfg, &plan);
-            assert_eq!(
-                healthy.makespan,
-                faulty.sim.makespan,
-                "{} makespan drift",
+    fn fault_runs_record_the_completing_worker_of_every_task() {
+        let costs = skewed(90);
+        let p = 6;
+        let cfg = SimConfig::new(p);
+        let plan = chaos_plan(&costs, p);
+        for model in all_models(90, p) {
+            let r = simulate_with_faults(&costs, &model, &cfg, &plan);
+            assert!(
+                r.faults.orphaned > 0,
+                "{}: the plan must bite",
                 model.name()
             );
-            assert_eq!(healthy.steals, faulty.sim.steals, "{}", model.name());
-            assert_eq!(
-                healthy.counter_fetches,
-                faulty.sim.counter_fetches,
-                "{}",
-                model.name()
-            );
-            assert_eq!(healthy.tasks, faulty.sim.tasks, "{}", model.name());
-            assert_eq!(faulty.faults.injected, 0);
-            assert_eq!(faulty.faults.lost, 0);
+            assert_eq!(r.sim.assignment.len(), 90, "{}", model.name());
+            let mut histogram = vec![0usize; p];
+            for &w in r.sim.assignment.iter().filter(|&&w| w != u32::MAX) {
+                histogram[w as usize] += 1;
+            }
+            assert_eq!(histogram, r.sim.tasks, "{}", model.name());
+            let unowned = r.sim.assignment.iter().filter(|&&w| w == u32::MAX).count();
+            assert_eq!(unowned as u64, r.faults.lost, "{}", model.name());
         }
+    }
+
+    #[test]
+    fn fault_runs_pair_every_task_start_with_its_end() {
+        let costs = skewed(90);
+        let p = 6;
+        let cfg = SimConfig {
+            events: true,
+            ..SimConfig::new(p)
+        };
+        let plan = chaos_plan(&costs, p);
+        for model in all_models(90, p) {
+            let r = simulate_with_faults(&costs, &model, &cfg, &plan);
+            let mut ends = 0;
+            for stream in &r.sim.events {
+                let mut open: Option<u64> = None;
+                for e in stream {
+                    match e.kind {
+                        EventKind::TaskStart => {
+                            assert_eq!(open, None, "{}: nested task", model.name());
+                            open = Some(e.arg);
+                        }
+                        EventKind::TaskEnd => {
+                            assert_eq!(open.take(), Some(e.arg), "{}", model.name());
+                            ends += 1;
+                        }
+                        _ => {}
+                    }
+                }
+                assert_eq!(open, None, "{}: unclosed task", model.name());
+            }
+            assert_eq!(ends, r.sim.tasks.iter().sum::<usize>(), "{}", model.name());
+        }
+    }
+
+    #[test]
+    fn task_killed_mid_run_emits_no_event_pair() {
+        // Worker 1 owns tasks 8..16, finishes two, and dies 0.5 s into
+        // the third: its stream holds exactly the two completed pairs.
+        let costs = vec![1.0; 32];
+        let cfg = SimConfig {
+            machine: MachineModel::ideal(),
+            events: true,
+            ..SimConfig::new(4)
+        };
+        let plan = FaultPlan::fault_free().with_rank_failure(1, 2.5);
+        let model = SimModel::Static(block_assignment(32, 4));
+        let r = simulate_with_faults(&costs, &model, &cfg, &plan);
+        let args: Vec<(EventKind, u64)> = r.sim.events[1].iter().map(|e| (e.kind, e.arg)).collect();
+        assert_eq!(
+            args,
+            vec![
+                (EventKind::TaskStart, 8),
+                (EventKind::TaskEnd, 8),
+                (EventKind::TaskStart, 9),
+                (EventKind::TaskEnd, 9),
+            ]
+        );
+        assert_ne!(r.sim.assignment[10], 1, "the killed task ran elsewhere");
     }
 
     #[test]
@@ -1526,9 +1593,8 @@ mod tests {
         // On an ideal machine with zero-cost tasks every fetch response
         // lands at t = 0. The old `(time, worker)` heap key re-popped
         // worker 0 forever, handing it the whole range; insertion order
-        // must round-robin the workers instead. This mirrors the
-        // healthy-simulator pin and keeps the fault layer's event
-        // ordering in lockstep with it.
+        // must round-robin the workers instead, through the public
+        // fault entry point as well as through `simulate`.
         let costs = vec![0.0; 12];
         let cfg = SimConfig {
             machine: MachineModel::ideal(),

@@ -15,16 +15,24 @@
 //! * work stealing pays per-steal round trips only where imbalance
 //!   actually materializes;
 //! * per-worker speed variability stretches whatever each worker runs.
+//!
+//! Each model family — static, shared counter, work stealing — has
+//! exactly one event loop, in [`crate::faults`]. [`simulate`] runs it
+//! under [`FaultPlan::fault_free`] and [`simulate_with_faults`] under
+//! any other plan, so healthy and degraded runs share every line of
+//! scheduling code. The golden digests in `tests/oracle.rs` pin the
+//! fault-free reports. The speculative replay and
+//! [`simulate_static_with_data`] are separate models with their own
+//! loops here.
 
-use crate::eventq::{EventQueue, ProfArena, QueueKind, WorkTracker};
+use crate::eventq::{EventQueue, ProfArena, QueueKind};
+use crate::faults::{
+    faulty_counter, faulty_static, faulty_stealing, simulate_with_faults, FaultPlan,
+};
 use crate::machine::MachineModel;
 use emx_obs::{EventKind, ProfEvent};
 use emx_runtime::Variability;
-use emx_sched::{
-    random_victim, round_robin_victim, ChunkRule, PolicyKind, SeedPartition, SpecConfig,
-    VictimPolicy,
-};
-use std::collections::VecDeque;
+use emx_sched::{PolicyKind, SeedPartition, SpecConfig, VictimPolicy};
 use std::time::Duration;
 
 /// Virtual seconds → nanoseconds for profiling event timestamps.
@@ -235,10 +243,10 @@ pub struct SimReport {
     /// Per-worker task intervals `(start, end)` in seconds — populated
     /// when [`SimConfig::trace`] is set.
     pub traces: Vec<Vec<(f64, f64)>>,
-    /// Which worker executed each task (`assignment[i] = worker`).
-    /// Populated by the fault-free simulation paths; fault-injected runs
-    /// leave it empty (tasks there can be re-executed after failures, so
-    /// no single owner exists).
+    /// Which worker completed each task (`assignment[i] = worker`). A
+    /// fault-injected run records the survivor that finished a task
+    /// orphaned by a rank failure, and `u32::MAX` for a task lost with
+    /// no survivor to run it.
     pub assignment: Vec<u32>,
     /// Per-worker profiling event streams in virtual nanoseconds —
     /// populated when [`SimConfig::events`] is set. The schema matches
@@ -259,73 +267,11 @@ impl SimReport {
     }
 }
 
-/// Runs the simulation of `costs` (seconds per task) under `model`.
+/// Runs the simulation of `costs` (seconds per task) under `model`:
+/// the fault-free case of [`simulate_with_faults`], which owns the one
+/// event loop per model family.
 pub fn simulate(costs: &[f64], model: &SimModel, cfg: &SimConfig) -> SimReport {
-    assert!(cfg.workers > 0, "need at least one worker");
-    match model {
-        SimModel::Static(owners) => simulate_static(costs, owners, cfg),
-        SimModel::Counter { chunk } => {
-            simulate_counter_family(costs, ChunkRule::Fixed(*chunk), 1, None, cfg)
-        }
-        SimModel::Guided { min_chunk } => simulate_counter_family(
-            costs,
-            ChunkRule::Tapering {
-                k: 2,
-                min: *min_chunk,
-            },
-            1,
-            None,
-            cfg,
-        ),
-        SimModel::GroupCounters { groups, chunk } => {
-            simulate_counter_family(costs, ChunkRule::Fixed(*chunk), (*groups).max(1), None, cfg)
-        }
-        SimModel::HierCounters {
-            chunk,
-            node_size,
-            parent_chunk,
-        } => {
-            let groups = cfg.workers.div_ceil((*node_size).max(1));
-            simulate_counter_family(
-                costs,
-                ChunkRule::Fixed(*chunk),
-                groups,
-                Some((*parent_chunk).max(1)),
-                cfg,
-            )
-        }
-        SimModel::WorkStealing { steal_half } => {
-            simulate_stealing(costs, *steal_half, &[], None, VictimPolicy::Random, cfg)
-        }
-        SimModel::SeededStealing { owners, steal_half } => simulate_stealing(
-            costs,
-            *steal_half,
-            &[],
-            Some(owners),
-            VictimPolicy::Random,
-            cfg,
-        ),
-        SimModel::HierarchicalStealing {
-            steal_half,
-            node_size,
-            remote_factor,
-        } => simulate_stealing(
-            costs,
-            *steal_half,
-            &[((*node_size).max(1), remote_factor.max(1.0))],
-            None,
-            VictimPolicy::Random,
-            cfg,
-        ),
-        SimModel::TopologyStealing { steal_half } => simulate_stealing(
-            costs,
-            *steal_half,
-            &topo_levels(&cfg.machine),
-            None,
-            VictimPolicy::Random,
-            cfg,
-        ),
-    }
+    simulate_with_faults(costs, model, cfg, &FaultPlan::fault_free()).sim
 }
 
 /// Stealing-domain levels of `m`'s topology, innermost first: `(domain
@@ -347,13 +293,15 @@ pub(crate) fn topo_levels(m: &MachineModel) -> Vec<(usize, f64)> {
 /// Replays any registry policy ([`PolicyKind`]) through the simulator —
 /// the same policy objects the thread runtime executes, in virtual time.
 /// Static policies replay their partition; counter-family policies
-/// replay their [`ChunkRule`] against the simulated shared counter;
-/// work stealing replays the configured seed partition, victim policy
-/// and batch size (victim draws come from [`SimConfig::seed`], the
-/// simulator's RNG convention).
+/// replay their [`ChunkRule`](emx_sched::ChunkRule) against the
+/// simulated shared counter; work stealing replays the configured seed
+/// partition, victim policy and batch size (victim draws come from
+/// [`SimConfig::seed`], the simulator's RNG convention). Every arm but
+/// speculation runs the same fault-free loops as [`simulate`].
 pub fn simulate_policy(costs: &[f64], kind: &PolicyKind, cfg: &SimConfig) -> SimReport {
     assert!(cfg.workers > 0, "need at least one worker");
     let n = costs.len();
+    let plan = FaultPlan::fault_free();
     match kind {
         PolicyKind::Serial
         | PolicyKind::StaticBlock
@@ -363,14 +311,13 @@ pub fn simulate_policy(costs: &[f64], kind: &PolicyKind, cfg: &SimConfig) -> Sim
             let owners = kind
                 .initial_partition(n, cfg.workers)
                 .expect("static policy has a partition");
-            simulate_static(costs, &owners, cfg)
+            faulty_static(costs, &owners, cfg, &plan).sim
         }
         PolicyKind::DynamicCounter { .. }
         | PolicyKind::Guided { .. }
         | PolicyKind::GuidedAdaptive { .. } => {
             let rule = kind.chunk_rule().expect("counter-family policy");
-            rule.validate();
-            simulate_counter_family(costs, rule, 1, None, cfg)
+            faulty_counter(costs, rule, 1, None, cfg, &plan).sim
         }
         PolicyKind::WorkStealing(scfg) => {
             let seeded;
@@ -381,7 +328,16 @@ pub fn simulate_policy(costs: &[f64], kind: &PolicyKind, cfg: &SimConfig) -> Sim
                     Some(seeded.as_slice())
                 }
             };
-            simulate_stealing(costs, scfg.steal_batch, &[], seed_owners, scfg.victim, cfg)
+            faulty_stealing(
+                costs,
+                scfg.steal_batch,
+                &[],
+                seed_owners,
+                scfg.victim,
+                cfg,
+                &plan,
+            )
+            .sim
         }
         PolicyKind::Speculative(scfg) => simulate_speculative(costs, scfg, cfg),
     }
@@ -429,20 +385,12 @@ fn simulate_speculative(costs: &[f64], scfg: &SpecConfig, cfg: &SimConfig) -> Si
         })
         .collect();
 
-    let mut busy = vec![0.0; p];
-    let mut tasks = vec![0usize; p];
-    let mut traces = if cfg.trace {
-        vec![Vec::new(); p]
-    } else {
-        Vec::new()
-    };
-    let mut arena = ProfArena::new(cfg.events);
+    let mut ledger = Ledger::new(n, cfg);
     let mut fetches = 0u64;
     let mut counter_free = 0.0f64;
     let mut next_txn = 0usize;
     let mut commit_time = vec![0.0f64; n];
     let mut commit_prev = 0.0f64;
-    let mut assignment = vec![u32::MAX; n];
     let mut makespan = 0.0f64;
 
     // Validation re-reads the captured read set against the store — one
@@ -469,97 +417,33 @@ fn simulate_speculative(costs: &[f64], scfg: &SpecConfig, cfg: &SimConfig) -> Si
         let response = counter_free + m.latency;
         let i = next_txn;
         next_txn += 1;
-        if arena.on() {
-            arena.push(
-                w,
-                ProfEvent {
-                    kind: EventKind::CounterFetchStart,
-                    arg: 0,
-                    t_ns: virt_ns(arrival - m.latency),
-                },
-            );
-            arena.push(
-                w,
-                ProfEvent {
-                    kind: EventKind::CounterFetchEnd,
-                    arg: i as u64,
-                    t_ns: virt_ns(response),
-                },
-            );
-        }
+        ledger.event(w, EventKind::CounterFetchStart, 0, arrival - m.latency);
+        ledger.event(w, EventKind::CounterFetchEnd, i as u64, response);
 
-        let run = |t0: f64,
-                   w: usize,
-                   busy: &mut Vec<f64>,
-                   arena: &mut ProfArena,
-                   traces: &mut Vec<Vec<(f64, f64)>>|
-         -> f64 {
+        // One incarnation (execute, then validate) from `t0`; returns
+        // when it is done.
+        let incarnation = |t0: f64, ledger: &mut Ledger| -> f64 {
             let d = stretched(costs[i], w, t0, cfg) + m.dispatch_overhead;
-            if cfg.trace {
-                traces[w].push((t0, t0 + d));
-            }
-            arena.push(
-                w,
-                ProfEvent {
-                    kind: EventKind::TaskStart,
-                    arg: i as u64,
-                    t_ns: virt_ns(t0),
-                },
-            );
-            arena.push(
-                w,
-                ProfEvent {
-                    kind: EventKind::TaskEnd,
-                    arg: i as u64,
-                    t_ns: virt_ns(t0 + d),
-                },
-            );
-            busy[w] += d;
-            t0 + d
-        };
-        let validate = |t0: f64, w: usize, busy: &mut Vec<f64>, arena: &mut ProfArena| -> f64 {
-            arena.push(
-                w,
-                ProfEvent {
-                    kind: EventKind::ValidateStart,
-                    arg: i as u64,
-                    t_ns: virt_ns(t0),
-                },
-            );
-            arena.push(
-                w,
-                ProfEvent {
-                    kind: EventKind::ValidateEnd,
-                    arg: i as u64,
-                    t_ns: virt_ns(t0 + v_cost),
-                },
-            );
-            busy[w] += v_cost;
-            t0 + v_cost
+            ledger.exec(w, i, t0, d);
+            let t = t0 + d;
+            ledger.event(w, EventKind::ValidateStart, i as u64, t);
+            ledger.event(w, EventKind::ValidateEnd, i as u64, t + v_cost);
+            ledger.busy[w] += v_cost;
+            t + v_cost
         };
 
         // Optimistic first incarnation.
         let exec_start = response;
-        let mut t = run(exec_start, w, &mut busy, &mut arena, &mut traces);
-        t = validate(t, w, &mut busy, &mut arena);
+        let mut t = incarnation(exec_start, &mut ledger);
         // Stale read: the dependency committed only after this
         // incarnation began, so the version it read has been superseded.
         let stale = dep[i].is_some_and(|j| commit_time[j] > exec_start);
         if stale {
             let j = dep[i].expect("stale implies dependency");
-            arena.push(
-                w,
-                ProfEvent {
-                    kind: EventKind::Abort,
-                    arg: i as u64,
-                    t_ns: virt_ns(t),
-                },
-            );
+            ledger.event(w, EventKind::Abort, i as u64, t);
             // Re-execute once the dependency's write is final; the gap
             // (if any) is idle, not busy.
-            let restart = t.max(commit_time[j]);
-            t = run(restart, w, &mut busy, &mut arena, &mut traces);
-            t = validate(t, w, &mut busy, &mut arena);
+            t = incarnation(t.max(commit_time[j]), &mut ledger);
         }
 
         // Deterministic commit rule: commits are released in block
@@ -568,32 +452,13 @@ fn simulate_speculative(costs: &[f64], scfg: &SpecConfig, cfg: &SimConfig) -> Si
         let committed = t.max(commit_prev);
         commit_prev = committed;
         commit_time[i] = committed;
-        arena.push(
-            w,
-            ProfEvent {
-                kind: EventKind::Commit,
-                arg: i as u64,
-                t_ns: virt_ns(committed),
-            },
-        );
-        assignment[i] = w as u32;
-        tasks[w] += 1;
+        ledger.event(w, EventKind::Commit, i as u64, committed);
+        ledger.complete(w, i);
         makespan = makespan.max(committed);
         q.push(t + m.latency, w);
     }
 
-    SimReport {
-        makespan,
-        busy,
-        tasks,
-        steals: 0,
-        steal_attempts: 0,
-        counter_fetches: fetches,
-        comm: Vec::new(),
-        traces,
-        assignment,
-        events: arena.into_streams(p),
-    }
+    ledger.report(makespan, 0, 0, fetches)
 }
 
 /// Effective duration of `cost` started at time `t` on `worker`.
@@ -604,58 +469,98 @@ pub(crate) fn stretched(cost: f64, worker: usize, t: f64, cfg: &SimConfig) -> f6
     cost * f
 }
 
-fn simulate_static(costs: &[f64], owners: &[u32], cfg: &SimConfig) -> SimReport {
-    assert_eq!(owners.len(), costs.len(), "assignment length mismatch");
-    let p = cfg.workers;
-    let mut busy = vec![0.0; p];
-    let mut clock = vec![0.0; p];
-    let mut tasks = vec![0usize; p];
-    let mut traces = if cfg.trace {
-        vec![Vec::new(); p]
-    } else {
-        Vec::new()
-    };
-    let mut arena = ProfArena::new(cfg.events);
-    for (t, &w) in owners.iter().enumerate() {
-        let w = w as usize;
-        assert!(w < p, "owner out of range");
-        let d = stretched(costs[t], w, clock[w], cfg) + cfg.machine.dispatch_overhead;
-        if cfg.trace {
-            traces[w].push((clock[w], clock[w] + d));
+/// The per-worker outputs every simulation loop fills the same way:
+/// busy time, task counts, task owners, trace spans and profiling
+/// events.
+pub(crate) struct Ledger {
+    pub(crate) busy: Vec<f64>,
+    tasks: Vec<usize>,
+    assignment: Vec<u32>,
+    trace: bool,
+    traces: Vec<Vec<(f64, f64)>>,
+    arena: ProfArena,
+}
+
+impl Ledger {
+    /// An empty ledger for `n` tasks (owners `u32::MAX` until run).
+    pub(crate) fn new(n: usize, cfg: &SimConfig) -> Ledger {
+        let p = cfg.workers;
+        Ledger {
+            busy: vec![0.0; p],
+            tasks: vec![0; p],
+            assignment: vec![u32::MAX; n],
+            trace: cfg.trace,
+            traces: if cfg.trace {
+                vec![Vec::new(); p]
+            } else {
+                Vec::new()
+            },
+            arena: ProfArena::new(cfg.events),
         }
-        if arena.on() {
-            arena.push(
-                w,
-                ProfEvent {
-                    kind: EventKind::TaskStart,
-                    arg: t as u64,
-                    t_ns: virt_ns(clock[w]),
-                },
-            );
-            arena.push(
-                w,
-                ProfEvent {
-                    kind: EventKind::TaskEnd,
-                    arg: t as u64,
-                    t_ns: virt_ns(clock[w] + d),
-                },
-            );
-        }
-        clock[w] += d;
-        busy[w] += d;
-        tasks[w] += 1;
     }
-    SimReport {
-        makespan: clock.iter().cloned().fold(0.0, f64::max),
-        busy,
-        tasks,
-        steals: 0,
-        steal_attempts: 0,
-        counter_fetches: 0,
-        comm: Vec::new(),
-        traces,
-        assignment: owners.to_vec(),
-        events: arena.into_streams(p),
+
+    /// One profiling event of worker `w` at virtual time `t` (s).
+    #[inline]
+    pub(crate) fn event(&mut self, w: usize, kind: EventKind, arg: u64, t: f64) {
+        if self.arena.on() {
+            self.arena.push(
+                w,
+                ProfEvent {
+                    kind,
+                    arg,
+                    t_ns: virt_ns(t),
+                },
+            );
+        }
+    }
+
+    /// One execution of task `i` on worker `w` over `[t, t + d)`: its
+    /// trace span, its start/end events and its busy time.
+    #[inline]
+    pub(crate) fn exec(&mut self, w: usize, i: usize, t: f64, d: f64) {
+        if self.trace {
+            self.traces[w].push((t, t + d));
+        }
+        self.event(w, EventKind::TaskStart, i as u64, t);
+        self.event(w, EventKind::TaskEnd, i as u64, t + d);
+        self.busy[w] += d;
+    }
+
+    /// Task `i` is done, by worker `w`.
+    #[inline]
+    pub(crate) fn complete(&mut self, w: usize, i: usize) {
+        self.tasks[w] += 1;
+        self.assignment[i] = w as u32;
+    }
+
+    /// [`Ledger::exec`] of a task that completes.
+    #[inline]
+    pub(crate) fn run(&mut self, w: usize, i: usize, t: f64, d: f64) {
+        self.exec(w, i, t, d);
+        self.complete(w, i);
+    }
+
+    /// The finished report.
+    pub(crate) fn report(
+        self,
+        makespan: f64,
+        steals: u64,
+        steal_attempts: u64,
+        counter_fetches: u64,
+    ) -> SimReport {
+        let p = self.busy.len();
+        SimReport {
+            makespan,
+            busy: self.busy,
+            tasks: self.tasks,
+            steals,
+            steal_attempts,
+            counter_fetches,
+            comm: Vec::new(),
+            traces: self.traces,
+            assignment: self.assignment,
+            events: self.arena.into_streams(p),
+        }
     }
 }
 
@@ -733,16 +638,9 @@ pub fn simulate_static_with_data(
     // Per-worker cached-block bitsets.
     let words = nblocks.div_ceil(64);
     let mut cached = vec![vec![0u64; words]; p];
-    let mut busy = vec![0.0; p];
     let mut comm = vec![0.0; p];
     let mut clock = vec![0.0; p];
-    let mut tasks = vec![0usize; p];
-    let mut traces = if cfg.trace {
-        vec![Vec::new(); p]
-    } else {
-        Vec::new()
-    };
-    let mut arena = ProfArena::new(cfg.events);
+    let mut ledger = Ledger::new(costs.len(), cfg);
 
     for (t, &w) in owners.iter().enumerate() {
         let w = w as usize;
@@ -760,467 +658,12 @@ pub fn simulate_static_with_data(
             }
         }
         let d = stretched(costs[t], w, clock[w], cfg) + m.dispatch_overhead;
-        if cfg.trace {
-            traces[w].push((clock[w], clock[w] + d));
-        }
-        if arena.on() {
-            arena.push(
-                w,
-                ProfEvent {
-                    kind: EventKind::TaskStart,
-                    arg: t as u64,
-                    t_ns: virt_ns(clock[w]),
-                },
-            );
-            arena.push(
-                w,
-                ProfEvent {
-                    kind: EventKind::TaskEnd,
-                    arg: t as u64,
-                    t_ns: virt_ns(clock[w] + d),
-                },
-            );
-        }
+        ledger.run(w, t, clock[w], d);
         clock[w] += d;
-        busy[w] += d;
-        tasks[w] += 1;
     }
     SimReport {
-        makespan: clock.iter().cloned().fold(0.0, f64::max),
-        busy,
-        tasks,
-        steals: 0,
-        steal_attempts: 0,
-        counter_fetches: 0,
         comm,
-        traces,
-        assignment: owners.to_vec(),
-        events: arena.into_streams(p),
-    }
-}
-
-/// Shared-counter family: `groups` independent counters each serve a
-/// worker group. With `refill: None` every counter statically owns a
-/// block slice of the task range (the Counter/Guided/GroupCounters
-/// models). With `refill: Some(block)` the counters are *leaves of a
-/// hierarchical NXTVAL tree*: they start empty and claim `block`-task
-/// ranges from a root counter on demand, so work balances globally
-/// while the root is contacted only once per block.
-fn simulate_counter_family(
-    costs: &[f64],
-    rule: ChunkRule,
-    groups: usize,
-    refill: Option<usize>,
-    cfg: &SimConfig,
-) -> SimReport {
-    rule.validate();
-    let p = cfg.workers;
-    let n = costs.len();
-    let m = &cfg.machine;
-    let groups = groups.min(p).max(1);
-    let wgroup = |w: usize| w * groups / p;
-    let mut group_size = vec![0usize; groups];
-    for w in 0..p {
-        group_size[wgroup(w)] += 1;
-    }
-
-    let mut busy = vec![0.0; p];
-    let mut tasks = vec![0usize; p];
-    let mut traces = if cfg.trace {
-        vec![Vec::new(); p]
-    } else {
-        Vec::new()
-    };
-    let mut arena = ProfArena::new(cfg.events);
-    let mut fetches = 0u64;
-    // Unclaimed range of each counter: a static block slice (no
-    // refill), or empty-until-refilled (hierarchical tree).
-    let mut leaf_lo: Vec<usize>;
-    let mut leaf_hi: Vec<usize>;
-    if refill.is_some() {
-        leaf_lo = vec![0; groups];
-        leaf_hi = vec![0; groups];
-    } else {
-        leaf_lo = (0..groups).map(|g| g * n / groups).collect();
-        leaf_hi = (0..groups).map(|g| (g + 1) * n / groups).collect();
-    }
-    let mut root_next = 0usize;
-    let mut root_free = 0.0f64;
-    let mut counter_free = vec![0.0f64; groups];
-    let mut makespan = 0.0f64;
-    let mut assignment = vec![u32::MAX; n];
-
-    // Queue of (arrival time at the group's counter, worker).
-    let mut q = EventQueue::with_capacity(cfg.queue, p);
-    for w in 0..p {
-        q.push(m.latency, w);
-    }
-
-    while let Some((arrival, w)) = q.pop() {
-        let g = wgroup(w);
-        // The group's counter host serializes its fetches.
-        let start = arrival.max(counter_free[g]);
-        counter_free[g] = start + m.counter_service;
-        fetches += 1;
-        if leaf_lo[g] >= leaf_hi[g] {
-            if let Some(block) = refill {
-                if root_next < n {
-                    // The dry leaf forwards one block claim to the root
-                    // counter: a full extra round trip, serialized at
-                    // the root, before the leaf can answer.
-                    let root_start = (counter_free[g] + m.latency).max(root_free);
-                    root_free = root_start + m.counter_service;
-                    fetches += 1;
-                    let take = block.min(n - root_next);
-                    leaf_lo[g] = root_next;
-                    leaf_hi[g] = root_next + take;
-                    root_next += take;
-                    counter_free[g] = root_free + m.latency;
-                }
-            }
-        }
-        let response = counter_free[g] + m.latency;
-        if arena.on() {
-            // The worker issued this fetch one network latency before it
-            // arrived at the counter host.
-            arena.push(
-                w,
-                ProfEvent {
-                    kind: EventKind::CounterFetchStart,
-                    arg: 0,
-                    t_ns: virt_ns(arrival - m.latency),
-                },
-            );
-            arena.push(
-                w,
-                ProfEvent {
-                    kind: EventKind::CounterFetchEnd,
-                    arg: leaf_lo[g] as u64,
-                    t_ns: virt_ns(response),
-                },
-            );
-        }
-        if leaf_lo[g] >= leaf_hi[g] {
-            // Counter exhausted — range done (no refill: no cross-group
-            // balancing by design, that asymmetry IS the model) or the
-            // root has nothing left. The worker retires.
-            continue;
-        }
-        let remaining = leaf_hi[g] - leaf_lo[g];
-        let chunk = rule.claim(remaining, group_size[g]);
-        let begin = leaf_lo[g];
-        let end = begin + chunk;
-        leaf_lo[g] = end;
-        let mut t = response;
-        for i in begin..end {
-            let d = stretched(costs[i], w, t, cfg) + m.dispatch_overhead;
-            if cfg.trace {
-                traces[w].push((t, t + d));
-            }
-            if arena.on() {
-                arena.push(
-                    w,
-                    ProfEvent {
-                        kind: EventKind::TaskStart,
-                        arg: i as u64,
-                        t_ns: virt_ns(t),
-                    },
-                );
-                arena.push(
-                    w,
-                    ProfEvent {
-                        kind: EventKind::TaskEnd,
-                        arg: i as u64,
-                        t_ns: virt_ns(t + d),
-                    },
-                );
-            }
-            t += d;
-            busy[w] += d;
-            tasks[w] += 1;
-            assignment[i] = w as u32;
-        }
-        makespan = makespan.max(t);
-        // Request the next chunk.
-        q.push(t + m.latency, w);
-    }
-
-    SimReport {
-        makespan,
-        busy,
-        tasks,
-        steals: 0,
-        steal_attempts: 0,
-        counter_fetches: fetches,
-        comm: Vec::new(),
-        traces,
-        assignment,
-        events: arena.into_streams(p),
-    }
-}
-
-/// Work-stealing family. `levels` lists nested locality domains,
-/// innermost first, as `(domain size in workers, latency divisor)`:
-/// a thief probes the innermost domain that still holds work and draws
-/// a uniform victim there at `steal_latency / divisor`, falling back to
-/// a global draw at full latency. An empty slice is flat stealing; one
-/// level reproduces [`SimModel::HierarchicalStealing`]; two levels are
-/// the node/rack topology of [`SimModel::TopologyStealing`].
-fn simulate_stealing(
-    costs: &[f64],
-    steal_half: bool,
-    levels: &[(usize, f64)],
-    seed_owners: Option<&[u32]>,
-    victim_policy: VictimPolicy,
-    cfg: &SimConfig,
-) -> SimReport {
-    let p = cfg.workers;
-    let n = costs.len();
-    let m = &cfg.machine;
-
-    // Seed the deques: from the given assignment, or block-wise
-    // (mirroring the static baseline's initial locality).
-    let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); p];
-    match seed_owners {
-        Some(owners) => {
-            assert_eq!(owners.len(), n, "seed assignment length mismatch");
-            for (i, &w) in owners.iter().enumerate() {
-                assert!((w as usize) < p, "seed owner out of range");
-                queues[w as usize].push_back(i);
-            }
-        }
-        None => {
-            for i in 0..n {
-                queues[emx_sched::block_owner(i, n.max(1), p)].push_back(i);
-            }
-        }
-    }
-    // Nonempty-queue counters per domain — O(1) "who still has work"
-    // answers instead of O(P) scans per steal attempt.
-    let level_sizes: Vec<usize> = levels.iter().map(|&(s, _)| s).collect();
-    let mut tracker = WorkTracker::new(p, &level_sizes);
-    for (w, q) in queues.iter().enumerate() {
-        tracker.update(w, !q.is_empty());
-    }
-    let mut remaining = n;
-    let mut assignment = vec![u32::MAX; n];
-    let mut busy = vec![0.0; p];
-    let mut tasks = vec![0usize; p];
-    let mut traces = if cfg.trace {
-        vec![Vec::new(); p]
-    } else {
-        Vec::new()
-    };
-    let mut arena = ProfArena::new(cfg.events);
-    // Per-worker "hunting for work" state, used only for event emission
-    // (IdleStart on entering the hunt, StealSuccess/IdleEnd on leaving).
-    let mut hunting = vec![false; p];
-    let mut steals = 0u64;
-    let mut attempts = 0u64;
-    let mut makespan = 0.0f64;
-    let mut rng = SplitMix::new(cfg.seed);
-    // Round-robin victim selection scans per-worker (no RNG draw).
-    let mut rr_attempts = vec![0u64; p];
-    // Stolen tasks in transit to each thief: they leave the victim's
-    // queue at the steal decision but only become visible (and
-    // stealable again) when the thief's arrival event fires. Without
-    // this, two idle workers can pass the last task back and forth
-    // forever, each re-stealing it before the other's arrival event
-    // executes it — a deterministic livelock.
-    let mut fly: Vec<Vec<usize>> = vec![Vec::new(); p];
-    let mut flying = 0usize;
-
-    // Pending events keyed (time, seq, worker) — seq keeps order total.
-    let mut q = EventQueue::with_capacity(cfg.queue, p);
-    for w in 0..p {
-        q.push(0.0, w);
-    }
-
-    while let Some((t, w)) = q.pop() {
-        if !fly[w].is_empty() {
-            flying -= fly[w].len();
-            for i in std::mem::take(&mut fly[w]) {
-                queues[w].push_back(i);
-            }
-            tracker.update(w, true);
-        }
-        if let Some(i) = queues[w].pop_front() {
-            tracker.update(w, !queues[w].is_empty());
-            let d = stretched(costs[i], w, t, cfg) + m.dispatch_overhead;
-            if cfg.trace {
-                traces[w].push((t, t + d));
-            }
-            if arena.on() {
-                arena.push(
-                    w,
-                    ProfEvent {
-                        kind: EventKind::TaskStart,
-                        arg: i as u64,
-                        t_ns: virt_ns(t),
-                    },
-                );
-                arena.push(
-                    w,
-                    ProfEvent {
-                        kind: EventKind::TaskEnd,
-                        arg: i as u64,
-                        t_ns: virt_ns(t + d),
-                    },
-                );
-            }
-            busy[w] += d;
-            tasks[w] += 1;
-            assignment[i] = w as u32;
-            remaining -= 1;
-            makespan = makespan.max(t + d);
-            q.push(t + d, w);
-            continue;
-        }
-        if remaining == 0 {
-            if arena.on() && hunting[w] {
-                arena.push(
-                    w,
-                    ProfEvent {
-                        kind: EventKind::IdleEnd,
-                        arg: 0,
-                        t_ns: virt_ns(t),
-                    },
-                );
-                hunting[w] = false;
-            }
-            continue; // global termination: worker retires
-        }
-        if arena.on() && !hunting[w] {
-            arena.push(
-                w,
-                ProfEvent {
-                    kind: EventKind::IdleStart,
-                    arg: 0,
-                    t_ns: virt_ns(t),
-                },
-            );
-            hunting[w] = true;
-        }
-        // Steal attempt: resolves one round trip later (victim queue is
-        // inspected at resolution time, which is "now + RTT" — we fold
-        // that into scheduling the check directly).
-        attempts += 1;
-        // Innermost locality domain that still holds work, if any: draw
-        // a uniform victim there at the level's discounted latency.
-        let mut choice = None;
-        if p > 1 {
-            for (l, &(size, factor)) in levels.iter().enumerate() {
-                let lo = w / size * size;
-                let hi = (lo + size).min(p);
-                if hi - lo > 1 && tracker.domain_has_work(l, w) {
-                    let span = hi - lo - 1;
-                    let mut v = lo + (rng.next() as usize) % span;
-                    if v >= w {
-                        v += 1;
-                    }
-                    choice = Some((v, m.steal_latency / factor));
-                    break;
-                }
-            }
-        }
-        let (victim, latency) = match choice {
-            Some(c) => c,
-            None if p > 1 => match victim_policy {
-                VictimPolicy::Random => (random_victim(rng.next(), w, p), m.steal_latency),
-                VictimPolicy::RoundRobin => {
-                    let v = round_robin_victim(w, rr_attempts[w], p);
-                    rr_attempts[w] += 1;
-                    (v, m.steal_latency)
-                }
-            },
-            None => (w, m.steal_latency),
-        };
-        let t_resolved = t + latency;
-        if arena.on() {
-            arena.push(
-                w,
-                ProfEvent {
-                    kind: EventKind::StealAttempt,
-                    arg: victim as u64,
-                    t_ns: virt_ns(t),
-                },
-            );
-        }
-        let qlen = queues[victim].len();
-        if victim != w && qlen > 0 {
-            let take = if steal_half { qlen.div_ceil(2) } else { 1 };
-            // Steal from the back (cold end), like Chase–Lev thieves.
-            // The haul rides the return trip: it lands at the arrival
-            // event below, not in the thief's queue now.
-            for _ in 0..take {
-                if let Some(task) = queues[victim].pop_back() {
-                    fly[w].push(task);
-                    flying += 1;
-                }
-            }
-            tracker.update(victim, !queues[victim].is_empty());
-            steals += 1;
-            if arena.on() {
-                arena.push(
-                    w,
-                    ProfEvent {
-                        kind: EventKind::StealSuccess,
-                        arg: victim as u64,
-                        t_ns: virt_ns(t_resolved),
-                    },
-                );
-                hunting[w] = false;
-            }
-            q.push(t_resolved + take as f64 * m.steal_transfer, w);
-        } else {
-            // Failed attempt. If no queue anywhere holds work and
-            // nothing is in flight, the outstanding tasks can never be
-            // obtained by stealing (the holder gave no response and
-            // never will) — retire cleanly instead of spinning forever
-            // on a silent victim.
-            if arena.on() {
-                arena.push(
-                    w,
-                    ProfEvent {
-                        kind: EventKind::StealFail,
-                        arg: victim as u64,
-                        t_ns: virt_ns(t_resolved),
-                    },
-                );
-            }
-            if !tracker.any() && flying == 0 {
-                if arena.on() && hunting[w] {
-                    arena.push(
-                        w,
-                        ProfEvent {
-                            kind: EventKind::IdleEnd,
-                            arg: 0,
-                            t_ns: virt_ns(t_resolved),
-                        },
-                    );
-                    hunting[w] = false;
-                }
-                continue;
-            }
-            // Retry no earlier than the next event in the system, so
-            // zero-latency machines cannot livelock at a frozen
-            // timestamp while another worker finishes a task.
-            let next_event = q.peek_time().unwrap_or(t_resolved);
-            q.push(t_resolved.max(next_event), w);
-        }
-    }
-
-    SimReport {
-        makespan,
-        busy,
-        tasks,
-        steals,
-        steal_attempts: attempts,
-        counter_fetches: 0,
-        comm: Vec::new(),
-        traces,
-        assignment,
-        events: arena.into_streams(p),
+        ..ledger.report(clock.iter().cloned().fold(0.0, f64::max), 0, 0, 0)
     }
 }
 

@@ -221,3 +221,245 @@ fn faulty_roster_is_bitwise_identical_across_backends() {
         }
     }
 }
+
+/// FNV-1a over a stream of 64-bit words — a hash with a fixed
+/// definition, so pinned digests stay valid across toolchains.
+struct Fnv(u64);
+
+impl Fnv {
+    fn word(&mut self, x: u64) {
+        for b in x.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
+/// Digest of every field of a report: makespan and busy bits, task
+/// counts, steal/attempt/fetch counters, assignment, traces and events.
+fn report_digest(r: &SimReport) -> u64 {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    h.word(r.makespan.to_bits());
+    for xs in [&r.busy, &r.comm] {
+        h.word(xs.len() as u64);
+        xs.iter().for_each(|x| h.word(x.to_bits()));
+    }
+    h.word(r.tasks.len() as u64);
+    r.tasks.iter().for_each(|&t| h.word(t as u64));
+    h.word(r.steals);
+    h.word(r.steal_attempts);
+    h.word(r.counter_fetches);
+    h.word(r.assignment.len() as u64);
+    r.assignment.iter().for_each(|&w| h.word(u64::from(w)));
+    h.word(r.traces.len() as u64);
+    for t in &r.traces {
+        h.word(t.len() as u64);
+        for &(s, e) in t {
+            h.word(s.to_bits());
+            h.word(e.to_bits());
+        }
+    }
+    h.word(r.events.len() as u64);
+    for stream in &r.events {
+        h.word(stream.len() as u64);
+        for e in stream {
+            h.word(e.kind as u64);
+            h.word(e.arg);
+            h.word(e.t_ns);
+        }
+    }
+    h.0
+}
+
+/// The golden cells: the nine models through `simulate`, plus the
+/// registry policies the `SimModel` enum cannot express (guided-adaptive,
+/// round-robin victims, a cyclic-seeded stealing policy) through
+/// `simulate_policy`, at three scales and two victim seeds, with traces
+/// and events on under time-varying speed.
+fn golden_cells() -> Vec<(String, SimReport)> {
+    use emx_runtime::Variability;
+    use emx_sched::{SeedPartition, StealConfig, VictimPolicy};
+    use std::time::Duration;
+    let mut out = Vec::new();
+    for p in [1usize, 8, 10_000] {
+        let n = if p == 1 { 40 } else { 3 * p };
+        let costs: Vec<f64> = (0..n)
+            .map(|i| ((i * 37) % 23 + 1) as f64 * 1e-6 + (i % 5) as f64 * 3e-7)
+            .collect();
+        let policies = [
+            PolicyKind::GuidedAdaptive { k: 3, min_chunk: 1 },
+            PolicyKind::WorkStealing(StealConfig {
+                victim: VictimPolicy::RoundRobin,
+                ..StealConfig::default()
+            }),
+            PolicyKind::WorkStealing(StealConfig {
+                seed: SeedPartition::Cyclic,
+                steal_batch: false,
+                ..StealConfig::default()
+            }),
+        ];
+        for seed in [0xd15c_u64, 0x5eed_0002] {
+            let mut cfg = SimConfig::new(p);
+            cfg.machine = MachineModel::with_topology();
+            cfg.variability = Variability::Sinusoidal {
+                amplitude: 0.5,
+                period: Duration::from_micros(40),
+            };
+            cfg.seed = seed;
+            cfg.trace = true;
+            cfg.events = true;
+            for model in roster(n, p) {
+                let label = format!("{} p={p} seed={seed:#x}", model.name());
+                out.push((label, simulate(&costs, &model, &cfg)));
+            }
+            for (k, kind) in policies.iter().enumerate() {
+                let label = format!("policy{k}:{} p={p} seed={seed:#x}", kind.name());
+                out.push((label, simulate_policy(&costs, kind, &cfg)));
+            }
+        }
+    }
+    out
+}
+
+/// Digests of [`golden_cells`], recorded from the dedicated fault-free
+/// loops that `simulate` ran before it became the fault-free case of
+/// the fault loops. Any change to a fault-free report — one event, one
+/// ULP — breaks the pin.
+const GOLDEN: &[(&str, u64)] = &[
+    ("static p=1 seed=0xd15c", 0xdc75933cca8a6e75),
+    ("counter p=1 seed=0xd15c", 0xecb049be8a965043),
+    ("guided p=1 seed=0xd15c", 0x84704b2b0a6f228f),
+    ("group-counters p=1 seed=0xd15c", 0xecb049be8a965043),
+    ("hier-counters p=1 seed=0xd15c", 0xd58e9d5a77476991),
+    ("work-stealing p=1 seed=0xd15c", 0xdc75933cca8a6e75),
+    ("seeded-stealing p=1 seed=0xd15c", 0xdc75933cca8a6e75),
+    ("hier-stealing p=1 seed=0xd15c", 0xdc75933cca8a6e75),
+    ("topo-stealing p=1 seed=0xd15c", 0xdc75933cca8a6e75),
+    (
+        "policy0:guided-adaptive p=1 seed=0xd15c",
+        0x87f054273172984d,
+    ),
+    ("policy1:work-stealing p=1 seed=0xd15c", 0xdc75933cca8a6e75),
+    ("policy2:work-stealing p=1 seed=0xd15c", 0xdc75933cca8a6e75),
+    ("static p=1 seed=0x5eed0002", 0xdc75933cca8a6e75),
+    ("counter p=1 seed=0x5eed0002", 0xecb049be8a965043),
+    ("guided p=1 seed=0x5eed0002", 0x84704b2b0a6f228f),
+    ("group-counters p=1 seed=0x5eed0002", 0xecb049be8a965043),
+    ("hier-counters p=1 seed=0x5eed0002", 0xd58e9d5a77476991),
+    ("work-stealing p=1 seed=0x5eed0002", 0xdc75933cca8a6e75),
+    ("seeded-stealing p=1 seed=0x5eed0002", 0xdc75933cca8a6e75),
+    ("hier-stealing p=1 seed=0x5eed0002", 0xdc75933cca8a6e75),
+    ("topo-stealing p=1 seed=0x5eed0002", 0xdc75933cca8a6e75),
+    (
+        "policy0:guided-adaptive p=1 seed=0x5eed0002",
+        0x87f054273172984d,
+    ),
+    (
+        "policy1:work-stealing p=1 seed=0x5eed0002",
+        0xdc75933cca8a6e75,
+    ),
+    (
+        "policy2:work-stealing p=1 seed=0x5eed0002",
+        0xdc75933cca8a6e75,
+    ),
+    ("static p=8 seed=0xd15c", 0x6a2a77380fee518b),
+    ("counter p=8 seed=0xd15c", 0x5fc5836310e55e83),
+    ("guided p=8 seed=0xd15c", 0x150d9002866209bc),
+    ("group-counters p=8 seed=0xd15c", 0x59ee66da2cc7f0ef),
+    ("hier-counters p=8 seed=0xd15c", 0xa1beed8db95efc51),
+    ("work-stealing p=8 seed=0xd15c", 0xa690332fe278645e),
+    ("seeded-stealing p=8 seed=0xd15c", 0xa690332fe278645e),
+    ("hier-stealing p=8 seed=0xd15c", 0x72b98f83743380f4),
+    ("topo-stealing p=8 seed=0xd15c", 0x80111886f4cace5d),
+    (
+        "policy0:guided-adaptive p=8 seed=0xd15c",
+        0xddc2da4c822a7ff7,
+    ),
+    ("policy1:work-stealing p=8 seed=0xd15c", 0x080c8fe6ddfdb697),
+    ("policy2:work-stealing p=8 seed=0xd15c", 0x307b83f280aee8cd),
+    ("static p=8 seed=0x5eed0002", 0x6a2a77380fee518b),
+    ("counter p=8 seed=0x5eed0002", 0x5fc5836310e55e83),
+    ("guided p=8 seed=0x5eed0002", 0x150d9002866209bc),
+    ("group-counters p=8 seed=0x5eed0002", 0x59ee66da2cc7f0ef),
+    ("hier-counters p=8 seed=0x5eed0002", 0xa1beed8db95efc51),
+    ("work-stealing p=8 seed=0x5eed0002", 0x43a25cb1da6a226b),
+    ("seeded-stealing p=8 seed=0x5eed0002", 0x43a25cb1da6a226b),
+    ("hier-stealing p=8 seed=0x5eed0002", 0xa10f1b04d5c003e9),
+    ("topo-stealing p=8 seed=0x5eed0002", 0x984ffa4c1308f5d1),
+    (
+        "policy0:guided-adaptive p=8 seed=0x5eed0002",
+        0xddc2da4c822a7ff7,
+    ),
+    (
+        "policy1:work-stealing p=8 seed=0x5eed0002",
+        0x080c8fe6ddfdb697,
+    ),
+    (
+        "policy2:work-stealing p=8 seed=0x5eed0002",
+        0x8e4efd58397abbe5,
+    ),
+    ("static p=10000 seed=0xd15c", 0xc8dfe694ccfd24eb),
+    ("counter p=10000 seed=0xd15c", 0x67046795d3872992),
+    ("guided p=10000 seed=0xd15c", 0xa6c4065d849dcc8e),
+    ("group-counters p=10000 seed=0xd15c", 0xdde3c81c1ce04a1e),
+    ("hier-counters p=10000 seed=0xd15c", 0x148817e83284eb4f),
+    ("work-stealing p=10000 seed=0xd15c", 0x2cab427d27eb5bac),
+    ("seeded-stealing p=10000 seed=0xd15c", 0x2cab427d27eb5bac),
+    ("hier-stealing p=10000 seed=0xd15c", 0x765268e7a8a7e704),
+    ("topo-stealing p=10000 seed=0xd15c", 0xfb8b9b09e25656f6),
+    (
+        "policy0:guided-adaptive p=10000 seed=0xd15c",
+        0xa5911d38e200cc52,
+    ),
+    (
+        "policy1:work-stealing p=10000 seed=0xd15c",
+        0x671ebfa7ee81c446,
+    ),
+    (
+        "policy2:work-stealing p=10000 seed=0xd15c",
+        0x59780e4c716cfa71,
+    ),
+    ("static p=10000 seed=0x5eed0002", 0xc8dfe694ccfd24eb),
+    ("counter p=10000 seed=0x5eed0002", 0x67046795d3872992),
+    ("guided p=10000 seed=0x5eed0002", 0xa6c4065d849dcc8e),
+    ("group-counters p=10000 seed=0x5eed0002", 0xdde3c81c1ce04a1e),
+    ("hier-counters p=10000 seed=0x5eed0002", 0x148817e83284eb4f),
+    ("work-stealing p=10000 seed=0x5eed0002", 0x15d10f50add6df33),
+    (
+        "seeded-stealing p=10000 seed=0x5eed0002",
+        0x15d10f50add6df33,
+    ),
+    ("hier-stealing p=10000 seed=0x5eed0002", 0xb3d3f7e2ad92786c),
+    ("topo-stealing p=10000 seed=0x5eed0002", 0x00ff18a882cb37e0),
+    (
+        "policy0:guided-adaptive p=10000 seed=0x5eed0002",
+        0xa5911d38e200cc52,
+    ),
+    (
+        "policy1:work-stealing p=10000 seed=0x5eed0002",
+        0x671ebfa7ee81c446,
+    ),
+    (
+        "policy2:work-stealing p=10000 seed=0x5eed0002",
+        0x369f2b57c5b045bd,
+    ),
+];
+
+#[test]
+fn fault_free_reports_match_pinned_golden_digests() {
+    let cells = golden_cells();
+    let mismatches: Vec<String> = cells
+        .iter()
+        .enumerate()
+        .filter(|(k, (label, r))| GOLDEN.get(*k) != Some(&(label.as_str(), report_digest(r))))
+        .map(|(_, (label, r))| format!("    (\"{label}\", {:#018x}),", report_digest(r)))
+        .collect();
+    assert!(
+        mismatches.is_empty(),
+        "{} of {} digests differ; actual:\n{}",
+        mismatches.len(),
+        cells.len(),
+        mismatches.join("\n")
+    );
+    assert_eq!(GOLDEN.len(), cells.len(), "golden table size");
+}

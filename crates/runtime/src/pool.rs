@@ -15,6 +15,7 @@ use crate::variability::Variability;
 use crossbeam::deque::{Steal, Stealer, Worker as Deque};
 use emx_obs::EventKind;
 use emx_sched::{random_victim, round_robin_victim, worker_stream};
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -40,14 +41,12 @@ pub struct Executor {
 
 impl Executor {
     /// Creates an executor with no variability, tracing off and no
-    /// observability attached. Accepts any [`PolicyKind`] (or, with the
-    /// `legacy` feature, the deprecated `ExecutionModel`, which
-    /// converts).
-    pub fn new(workers: usize, model: impl Into<PolicyKind>) -> Executor {
+    /// observability attached.
+    pub fn new(workers: usize, model: PolicyKind) -> Executor {
         assert!(workers > 0, "need at least one worker");
         Executor {
             workers,
-            model: model.into(),
+            model,
             variability: Variability::None,
             trace: false,
             obs: None,
@@ -122,14 +121,12 @@ impl Executor {
                     .expect("static policy has a partition");
                 self.run_static(ntasks, owners, &init, &task)
             }
-            PolicyKind::DynamicCounter { chunk } => {
-                assert!(*chunk > 0, "chunk must be positive");
-                self.run_counter(ntasks, *chunk, &init, &task)
-            }
-            PolicyKind::Guided { .. } | PolicyKind::GuidedAdaptive { .. } => {
-                let rule = self.model.chunk_rule().expect("guided policy has a rule");
+            PolicyKind::DynamicCounter { .. }
+            | PolicyKind::Guided { .. }
+            | PolicyKind::GuidedAdaptive { .. } => {
+                let rule = self.model.chunk_rule().expect("counter-family policy");
                 rule.validate();
-                self.run_guided(ntasks, rule, &init, &task)
+                self.run_counter(ntasks, rule, &init, &task)
             }
             PolicyKind::WorkStealing(cfg) => self.run_stealing(ntasks, cfg, &init, &task),
             PolicyKind::Speculative(cfg) => self.run_speculative(ntasks, cfg, &init, &task),
@@ -253,106 +250,20 @@ impl Executor {
     where
         L: Send,
     {
-        let p = self.workers;
-        let mut lists: Vec<Vec<usize>> = vec![Vec::new(); p];
+        let mut lists: Vec<Vec<usize>> = vec![Vec::new(); self.workers];
         for (i, &w) in owners.iter().enumerate() {
             lists[w as usize].push(i);
         }
-        let fstate = self.fault_state(ntasks);
-        let start = Instant::now();
-        let results = std::thread::scope(|s| {
-            let handles: Vec<_> = lists
-                .into_iter()
-                .enumerate()
-                .map(|(w, list)| {
-                    let init = &init;
-                    let task = &task;
-                    let variability = self.variability;
-                    let trace = self.trace;
-                    let obs = self.worker_obs(w);
-                    let faults = fstate.clone();
-                    let straggle = self.straggle(w);
-                    s.spawn(move || {
-                        let mut local = init(w);
-                        let mut ctx = WorkerCtx::new(w, p, variability, trace, start, obs);
-                        if let Some(fs) = faults {
-                            ctx.attach_faults(fs, straggle);
-                        }
-                        for i in list {
-                            ctx.run_task(i, &mut local, task);
-                        }
-                        (local, ctx.stats, ctx.events)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        self.assemble(ntasks, start.elapsed(), results)
+        self.on_workers(ntasks, lists, init, |ctx, list, local| {
+            for i in list {
+                ctx.run_task(i, local, task);
+            }
+        })
     }
 
+    /// The counter family: workers self-schedule off one shared index,
+    /// each fetch claiming what `rule` dictates.
     fn run_counter<L>(
-        &self,
-        ntasks: usize,
-        chunk: usize,
-        init: &(impl Fn(usize) -> L + Sync),
-        task: &(impl Fn(usize, &mut L) + Sync),
-    ) -> (Vec<L>, ExecutionReport)
-    where
-        L: Send,
-    {
-        let p = self.workers;
-        let next = AtomicUsize::new(0);
-        let fstate = self.fault_state(ntasks);
-        let start = Instant::now();
-        let results = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..p)
-                .map(|w| {
-                    let next = &next;
-                    let init = &init;
-                    let task = &task;
-                    let variability = self.variability;
-                    let trace = self.trace;
-                    let obs = self.worker_obs(w);
-                    let faults = fstate.clone();
-                    let straggle = self.straggle(w);
-                    s.spawn(move || {
-                        let mut local = init(w);
-                        let mut ctx = WorkerCtx::new(w, p, variability, trace, start, obs);
-                        if let Some(fs) = faults {
-                            ctx.attach_faults(fs, straggle);
-                        }
-                        loop {
-                            let t_fetch = ctx.obs_mark();
-                            // Protocol `runtime-counter-dispatch`
-                            // (docs/protocols.toml): Relaxed claim —
-                            // task indices are data-independent, the
-                            // fetch_add only needs atomicity.
-                            let begin = next.fetch_add(chunk, Ordering::Relaxed);
-                            if begin >= ntasks {
-                                break;
-                            }
-                            ctx.stats.counter_fetches += 1;
-                            ctx.obs_counter_fetch(t_fetch, begin);
-                            for i in begin..(begin + chunk).min(ntasks) {
-                                ctx.run_task(i, &mut local, task);
-                            }
-                        }
-                        (local, ctx.stats, ctx.events)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        self.assemble(ntasks, start.elapsed(), results)
-    }
-
-    fn run_guided<L>(
         &self,
         ntasks: usize,
         rule: ChunkRule,
@@ -364,73 +275,19 @@ impl Executor {
     {
         let p = self.workers;
         let next = AtomicUsize::new(0);
-        let fstate = self.fault_state(ntasks);
-        let start = Instant::now();
-        let results = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..p)
-                .map(|w| {
-                    let next = &next;
-                    let init = &init;
-                    let task = &task;
-                    let variability = self.variability;
-                    let trace = self.trace;
-                    let obs = self.worker_obs(w);
-                    let faults = fstate.clone();
-                    let straggle = self.straggle(w);
-                    s.spawn(move || {
-                        let mut local = init(w);
-                        let mut ctx = WorkerCtx::new(w, p, variability, trace, start, obs);
-                        if let Some(fs) = faults {
-                            ctx.attach_faults(fs, straggle);
-                        }
-                        loop {
-                            // Claim what the tapering rule dictates, via
-                            // CAS (the claim size depends on the current
-                            // counter value, so fetch_add alone is not
-                            // enough).
-                            let t_fetch = ctx.obs_mark();
-                            let begin;
-                            let end;
-                            // Protocol `runtime-guided-claim`
-                            // (docs/protocols.toml): Acquire read +
-                            // AcqRel CAS, each claim's Release side
-                            // pairs with the next claimant's load.
-                            loop {
-                                let cur = next.load(Ordering::Acquire);
-                                if cur >= ntasks {
-                                    return (local, ctx.stats, ctx.events);
-                                }
-                                let remaining = ntasks - cur;
-                                let chunk = rule.claim(remaining, p);
-                                match next.compare_exchange_weak(
-                                    cur,
-                                    cur + chunk,
-                                    Ordering::AcqRel,
-                                    Ordering::Acquire,
-                                ) {
-                                    Ok(_) => {
-                                        begin = cur;
-                                        end = cur + chunk;
-                                        break;
-                                    }
-                                    Err(_) => continue,
-                                }
-                            }
-                            ctx.stats.counter_fetches += 1;
-                            ctx.obs_counter_fetch(t_fetch, begin);
-                            for i in begin..end {
-                                ctx.run_task(i, &mut local, task);
-                            }
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        self.assemble(ntasks, start.elapsed(), results)
+        self.on_workers(ntasks, vec![(); p], init, |ctx, (), local| loop {
+            let t_fetch = ctx.obs_mark();
+            let claim = match rule {
+                ChunkRule::Fixed(chunk) => claim_fixed(&next, chunk, ntasks),
+                ChunkRule::Tapering { .. } => claim_tapering(&next, rule, ntasks, p),
+            };
+            let Some(claim) = claim else { break };
+            ctx.stats.counter_fetches += 1;
+            ctx.obs_counter_fetch(t_fetch, claim.start);
+            for i in claim {
+                ctx.run_task(i, local, task);
+            }
+        })
     }
 
     fn run_stealing<L>(
@@ -452,129 +309,97 @@ impl Executor {
             deques[owner as usize].push(i);
         }
         let remaining = AtomicUsize::new(ntasks);
-        let fstate = self.fault_state(ntasks);
-        let start = Instant::now();
-        let results = std::thread::scope(|s| {
-            let handles: Vec<_> = deques
-                .into_iter()
-                .enumerate()
-                .map(|(w, deque)| {
-                    let stealers = &stealers;
-                    let remaining = &remaining;
-                    let init = &init;
-                    let task = &task;
-                    let variability = self.variability;
-                    let trace = self.trace;
-                    let cfg = cfg.clone();
-                    let obs = self.worker_obs(w);
-                    let faults = fstate.clone();
-                    let straggle = self.straggle(w);
-                    s.spawn(move || {
-                        let mut local = init(w);
-                        let mut ctx = WorkerCtx::new(w, p, variability, trace, start, obs);
-                        if let Some(fs) = faults {
-                            ctx.attach_faults(fs, straggle);
+        self.on_workers(ntasks, deques, init, |ctx, deque, local| {
+            let w = ctx.worker;
+            let mut rng = worker_stream(cfg.rng_seed, w);
+            'outer: loop {
+                // Drain the local deque first. A task whose
+                // panic was caught goes back on the deque
+                // (where a thief may pick it up) instead of
+                // wedging this worker.
+                //
+                // Completions are batched in a worker-local
+                // count and published as one decrement when
+                // the deque runs dry — the NXTVAL-claims
+                // analogue for the termination counter. The
+                // invariant: a worker never idle-waits on
+                // `remaining` with unflushed completions, so
+                // peers' termination detection stays exact.
+                let mut done = 0usize;
+                while let Some(i) = deque.pop() {
+                    if ctx.try_run_task(i, local, task) {
+                        done += 1;
+                    } else {
+                        deque.push(i);
+                    }
+                }
+                // Protocol `runtime-ws-termination`
+                // (docs/protocols.toml): Release
+                // decrements publish completed work; the
+                // idle loop's Acquire load of zero is the
+                // only exit signal.
+                if done > 0 {
+                    remaining.fetch_sub(done, Ordering::Release);
+                }
+                // Steal until we obtain work or everything is done.
+                let mut spins = 0u32;
+                let idle_from = ctx.obs_mark();
+                ctx.obs_idle_start(idle_from);
+                loop {
+                    if remaining.load(Ordering::Acquire) == 0 {
+                        ctx.obs_idle_end(idle_from);
+                        break 'outer;
+                    }
+                    if ctx.fault_aborted() {
+                        // A peer is propagating the panic of
+                        // a task that exhausted its retries;
+                        // `remaining` will never reach zero,
+                        // so exit instead of spinning (the
+                        // scope join re-raises the panic).
+                        ctx.obs_idle_end(idle_from);
+                        break 'outer;
+                    }
+                    if p == 1 {
+                        // No victims exist; the remaining
+                        // check above is the only exit.
+                        std::hint::spin_loop();
+                        continue;
+                    }
+                    let victim = match cfg.victim {
+                        VictimPolicy::Random => random_victim(rng.next(), w, p),
+                        VictimPolicy::RoundRobin => round_robin_victim(w, spins as u64, p),
+                    };
+                    ctx.stats.steal_attempts += 1;
+                    ctx.obs_steal_attempt(victim);
+                    let got = if cfg.steal_batch {
+                        stealers[victim].steal_batch_and_pop(&deque)
+                    } else {
+                        stealers[victim].steal()
+                    };
+                    match got {
+                        Steal::Success(i) => {
+                            ctx.stats.steals += 1;
+                            ctx.obs_steal_success(idle_from, victim);
+                            if ctx.try_run_task(i, local, task) {
+                                remaining.fetch_sub(1, Ordering::Release);
+                            } else {
+                                deque.push(i);
+                            }
+                            continue 'outer;
                         }
-                        let mut rng = worker_stream(cfg.rng_seed, w);
-                        'outer: loop {
-                            // Drain the local deque first. A task whose
-                            // panic was caught goes back on the deque
-                            // (where a thief may pick it up) instead of
-                            // wedging this worker.
-                            //
-                            // Completions are batched in a worker-local
-                            // count and published as one decrement when
-                            // the deque runs dry — the NXTVAL-claims
-                            // analogue for the termination counter. The
-                            // invariant: a worker never idle-waits on
-                            // `remaining` with unflushed completions, so
-                            // peers' termination detection stays exact.
-                            let mut done = 0usize;
-                            while let Some(i) = deque.pop() {
-                                if ctx.try_run_task(i, &mut local, task) {
-                                    done += 1;
-                                } else {
-                                    deque.push(i);
-                                }
-                            }
-                            // Protocol `runtime-ws-termination`
-                            // (docs/protocols.toml): Release
-                            // decrements publish completed work; the
-                            // idle loop's Acquire load of zero is the
-                            // only exit signal.
-                            if done > 0 {
-                                remaining.fetch_sub(done, Ordering::Release);
-                            }
-                            // Steal until we obtain work or everything is done.
-                            let mut spins = 0u32;
-                            let idle_from = ctx.obs_mark();
-                            ctx.obs_idle_start(idle_from);
-                            loop {
-                                if remaining.load(Ordering::Acquire) == 0 {
-                                    ctx.obs_idle_end(idle_from);
-                                    break 'outer;
-                                }
-                                if ctx.fault_aborted() {
-                                    // A peer is propagating the panic of
-                                    // a task that exhausted its retries;
-                                    // `remaining` will never reach zero,
-                                    // so exit instead of spinning (the
-                                    // scope join re-raises the panic).
-                                    ctx.obs_idle_end(idle_from);
-                                    break 'outer;
-                                }
-                                if p == 1 {
-                                    // No victims exist; the remaining
-                                    // check above is the only exit.
-                                    std::hint::spin_loop();
-                                    continue;
-                                }
-                                let victim = match cfg.victim {
-                                    VictimPolicy::Random => random_victim(rng.next(), w, p),
-                                    VictimPolicy::RoundRobin => {
-                                        round_robin_victim(w, spins as u64, p)
-                                    }
-                                };
-                                ctx.stats.steal_attempts += 1;
-                                ctx.obs_steal_attempt(victim);
-                                let got = if cfg.steal_batch {
-                                    stealers[victim].steal_batch_and_pop(&deque)
-                                } else {
-                                    stealers[victim].steal()
-                                };
-                                match got {
-                                    Steal::Success(i) => {
-                                        ctx.stats.steals += 1;
-                                        ctx.obs_steal_success(idle_from, victim);
-                                        if ctx.try_run_task(i, &mut local, task) {
-                                            remaining.fetch_sub(1, Ordering::Release);
-                                        } else {
-                                            deque.push(i);
-                                        }
-                                        continue 'outer;
-                                    }
-                                    Steal::Empty | Steal::Retry => {
-                                        ctx.obs_steal_fail(victim);
-                                        spins += 1;
-                                        if spins % (4 * p as u32) == 0 {
-                                            std::thread::yield_now();
-                                        } else {
-                                            std::hint::spin_loop();
-                                        }
-                                    }
-                                }
+                        Steal::Empty | Steal::Retry => {
+                            ctx.obs_steal_fail(victim);
+                            spins += 1;
+                            if spins % (4 * p as u32) == 0 {
+                                std::thread::yield_now();
+                            } else {
+                                std::hint::spin_loop();
                             }
                         }
-                        (local, ctx.stats, ctx.events)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        self.assemble(ntasks, start.elapsed(), results)
+                    }
+                }
+            }
+        })
     }
 
     /// Block-STM-style speculative execution over opaque task bodies.
@@ -603,17 +428,72 @@ impl Executor {
         let p = self.workers;
         let sched = Scheduler::new(ntasks);
         let mv: MvMemory<()> = MvMemory::new(Vec::new(), ntasks);
+        self.on_workers(ntasks, vec![(); p], init, |ctx, (), local| {
+            let mut t = sched.next_task();
+            loop {
+                match t {
+                    SchedulerTask::Done => break,
+                    SchedulerTask::NoTask => {
+                        if ctx.fault_aborted() {
+                            // A peer is propagating a
+                            // permanently-failing task's
+                            // panic; its transaction will
+                            // never finish, so the waves
+                            // can never drain — exit
+                            // instead of spinning (the
+                            // scope join re-raises).
+                            break;
+                        }
+                        std::thread::yield_now();
+                        t = sched.next_task();
+                    }
+                    SchedulerTask::Execution(v) => {
+                        ctx.run_task(v.txn, local, task);
+                        let wrote_new = mv.write(v, Vec::new());
+                        t = sched.finish_execution(v, wrote_new);
+                    }
+                    SchedulerTask::Validation(v) => {
+                        let mark = ctx.obs_mark();
+                        let ok = mv.validate(v.txn, &[]);
+                        ctx.obs_validate(mark, v.txn, ok);
+                        // Hard assert (off the hot path): if the
+                        // runtime arm ever gains real read sets, a
+                        // failed validation must not be silently
+                        // ignored in release builds.
+                        assert!(ok, "opaque tasks read nothing; validation cannot fail");
+                        sched.finish_validation();
+                        t = sched.next_task();
+                    }
+                }
+            }
+        })
+    }
+
+    /// Runs `body(ctx, state, local)` on one scoped thread per worker:
+    /// worker `w` gets `states[w]`, a fresh [`WorkerCtx`] with the run's
+    /// fault state attached, and `init(w)` as its local. The wall clock
+    /// starts just before the threads spawn.
+    fn on_workers<L, S>(
+        &self,
+        ntasks: usize,
+        states: Vec<S>,
+        init: &(impl Fn(usize) -> L + Sync),
+        body: impl Fn(&mut WorkerCtx, S, &mut L) + Sync,
+    ) -> (Vec<L>, ExecutionReport)
+    where
+        L: Send,
+        S: Send,
+    {
+        let p = self.workers;
         let fstate = self.fault_state(ntasks);
         let start = Instant::now();
         let results = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..p)
-                .map(|w| {
-                    let sched = &sched;
-                    let mv = &mv;
-                    let init = &init;
-                    let task = &task;
-                    let variability = self.variability;
-                    let trace = self.trace;
+            let handles: Vec<_> = states
+                .into_iter()
+                .enumerate()
+                .map(|(w, state)| {
+                    let body = &body;
+                    let (variability, trace) = (self.variability, self.trace);
                     let obs = self.worker_obs(w);
                     let faults = fstate.clone();
                     let straggle = self.straggle(w);
@@ -623,46 +503,7 @@ impl Executor {
                         if let Some(fs) = faults {
                             ctx.attach_faults(fs, straggle);
                         }
-                        let mut t = sched.next_task();
-                        loop {
-                            match t {
-                                SchedulerTask::Done => break,
-                                SchedulerTask::NoTask => {
-                                    if ctx.fault_aborted() {
-                                        // A peer is propagating a
-                                        // permanently-failing task's
-                                        // panic; its transaction will
-                                        // never finish, so the waves
-                                        // can never drain — exit
-                                        // instead of spinning (the
-                                        // scope join re-raises).
-                                        break;
-                                    }
-                                    std::thread::yield_now();
-                                    t = sched.next_task();
-                                }
-                                SchedulerTask::Execution(v) => {
-                                    ctx.run_task(v.txn, &mut local, task);
-                                    let wrote_new = mv.write(v, Vec::new());
-                                    t = sched.finish_execution(v, wrote_new);
-                                }
-                                SchedulerTask::Validation(v) => {
-                                    let mark = ctx.obs_mark();
-                                    let ok = mv.validate(v.txn, &[]);
-                                    ctx.obs_validate(mark, v.txn, ok);
-                                    // Hard assert (off the hot path): if the
-                                    // runtime arm ever gains real read sets, a
-                                    // failed validation must not be silently
-                                    // ignored in release builds.
-                                    assert!(
-                                        ok,
-                                        "opaque tasks read nothing; validation cannot fail"
-                                    );
-                                    sched.finish_validation();
-                                    t = sched.next_task();
-                                }
-                            }
-                        }
+                        body(&mut ctx, state, &mut local);
                         (local, ctx.stats, ctx.events)
                     })
                 })
@@ -672,15 +513,7 @@ impl Executor {
                 .map(|h| h.join().expect("worker panicked"))
                 .collect::<Vec<_>>()
         });
-        self.assemble(ntasks, start.elapsed(), results)
-    }
-
-    fn assemble<L>(
-        &self,
-        ntasks: usize,
-        wall: Duration,
-        results: Vec<(L, WorkerStats, Vec<TaskEvent>)>,
-    ) -> (Vec<L>, ExecutionReport) {
+        let wall = start.elapsed();
         let mut locals = Vec::with_capacity(results.len());
         let mut worker_stats = Vec::with_capacity(results.len());
         let mut traces = Vec::with_capacity(results.len());
@@ -700,6 +533,42 @@ impl Executor {
                 traces,
             },
         )
+    }
+}
+
+/// Claims the next `chunk` tasks off the shared index `next`.
+fn claim_fixed(next: &AtomicUsize, chunk: usize, ntasks: usize) -> Option<Range<usize>> {
+    // Protocol `runtime-counter-dispatch` (docs/protocols.toml): Relaxed
+    // claim — task indices are data-independent, the fetch_add only
+    // needs atomicity.
+    let begin = next.fetch_add(chunk, Ordering::Relaxed);
+    (begin < ntasks).then(|| begin..(begin + chunk).min(ntasks))
+}
+
+/// Claims what the tapering `rule` dictates off the shared index
+/// `next`, via CAS: the claim size depends on the current index, so
+/// fetch_add alone is not enough.
+fn claim_tapering(
+    next: &AtomicUsize,
+    rule: ChunkRule,
+    ntasks: usize,
+    workers: usize,
+) -> Option<Range<usize>> {
+    // Protocol `runtime-guided-claim` (docs/protocols.toml): Acquire
+    // read + AcqRel CAS, each claim's Release side pairs with the next
+    // claimant's load.
+    loop {
+        let cur = next.load(Ordering::Acquire);
+        if cur >= ntasks {
+            return None;
+        }
+        let end = cur + rule.claim(ntasks - cur, workers);
+        if next
+            .compare_exchange_weak(cur, end, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
+        {
+            return Some(cur..end);
+        }
     }
 }
 
