@@ -123,7 +123,7 @@ fn bench_post_hf_kernels(c: &mut Criterion) {
             let mut g = Matrix::zeros(bm.nbf, bm.nbf);
             let mut scratch = fb.scratch();
             for t in &tasks {
-                fb.execute_jk(t, &d, &d, 1.0, &mut g, &mut scratch);
+                fb.execute_with(t, Screen::Schwarz, &d, &d, 1.0, &mut g, &mut scratch);
             }
             black_box(g.frobenius_norm())
         })

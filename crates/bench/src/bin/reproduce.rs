@@ -1202,35 +1202,42 @@ fn ablation_hybrid_seeding(machine: &MachineModel) -> Table {
 /// iterations — the execution-model assumption behind persistence-based
 /// balancing erodes, while work stealing is indifferent.
 ///
-/// The table tracks, for an incremental SCF on butane: the surviving
-/// quartets, ‖ΔD‖, and the load imbalance of (a) the assignment frozen
-/// from the first incremental iteration vs (b) an assignment re-derived
-/// from each iteration's actual costs.
+/// The table tracks the first ten iterations of the ΔD SCF on butane
+/// (the [`IncrementalFock`] strategy of `rhf_with`, full rebuilds at
+/// iterations 0 and 8): the quartets computed, ‖ΔD‖, and the load
+/// imbalance of (a) the assignment frozen from the first incremental
+/// iteration vs (b) an assignment re-derived from each iteration's
+/// actual costs.
 fn ablation_incremental_drift() -> Table {
     use emx_chem::prelude::*;
-    use emx_linalg::{jacobi_eigen, symmetric_orthogonalizer, Matrix};
 
     let bm = BasisedMolecule::assign(&Molecule::alkane(4), BasisSet::Sto3g);
-    let tau = 1e-8;
-    let pairs = ScreenedPairs::build(&bm, tau * 1e-2);
-    let fb = FockBuilder::new(&bm, &pairs, tau);
+    let cfg = ScfConfig {
+        max_iter: 10,
+        tau: 1e-8,
+        ..ScfConfig::default()
+    };
+    let pairs = ScreenedPairs::build(&bm, cfg.tau * 1e-2);
+    let fb = FockBuilder::new(&bm, &pairs, cfg.tau);
     let tasks = fb.tasks(usize::MAX);
     let p_workers = 8;
 
-    // Plain Roothaan incremental loop, collecting per-task quartets.
-    let s = emx_chem::oneint::overlap(&bm);
-    let h = emx_chem::oneint::core_hamiltonian(&bm);
-    let x = symmetric_orthogonalizer(&s).expect("SPD overlap");
-    let nocc = bm.nelectrons() / 2;
-    let mut density = {
-        let hp = h.congruence(&x).expect("shapes");
-        let e = jacobi_eigen(&hp, 1e-12, 100).expect("eigen");
-        let c = x.matmul(&e.vectors).expect("shapes");
-        emx_chem::scf::density_from_mos(&c, nocc)
-    };
-    let mut g = Matrix::zeros(bm.nbf, bm.nbf);
-    let mut d_prev = Matrix::zeros(bm.nbf, bm.nbf);
+    // Every G build also records the quartets of each task.
+    let mut per_iteration: Vec<Vec<f64>> = Vec::new();
     let mut scratch = fb.scratch();
+    let mut strategy = IncrementalFock::new(&fb);
+    rhf_with(&bm, &cfg, |p| {
+        strategy.next(p, |d, screen, g| {
+            let per_task: Vec<f64> = tasks
+                .iter()
+                .map(|t| fb.execute_with(t, screen, d, d, 0.5, g, &mut scratch) as f64)
+                .collect();
+            let quartets = per_task.iter().sum::<f64>() as u64;
+            per_iteration.push(per_task);
+            quartets
+        })
+    });
+    let stats = strategy.into_stats();
 
     let mut t = Table::new(
         "Ablation: incremental-Fock cost drift vs persistence balancing (C4H10, P=8)",
@@ -1243,17 +1250,7 @@ fn ablation_incremental_drift() -> Table {
         ],
     );
     let mut frozen: Option<Vec<u32>> = None;
-    for iter in 0..10 {
-        let delta = density.sub(&d_prev).expect("shapes");
-        let dmax = fb.pair_density_max(&delta);
-        let mut per_task = Vec::with_capacity(tasks.len());
-        for task in &tasks {
-            per_task.push(
-                fb.execute_density_screened(task, &delta, &dmax, &mut g, &mut scratch) as f64,
-            );
-        }
-        d_prev = density.clone();
-        let quartets: f64 = per_task.iter().sum();
+    for (iter, per_task) in per_iteration.iter().enumerate() {
         let problem = Problem::new(per_task.clone(), p_workers);
         // Freeze the assignment computed from the FIRST incremental
         // iteration's costs (iteration 1 — iteration 0 is the full
@@ -1262,7 +1259,7 @@ fn ablation_incremental_drift() -> Table {
             frozen = Some({
                 let (a, _) = emx_core::prelude::balance(
                     emx_core::prelude::BalancerKind::SemiMatching,
-                    &per_task,
+                    per_task,
                     p_workers,
                     None,
                 );
@@ -1275,28 +1272,17 @@ fn ablation_incremental_drift() -> Table {
             .unwrap_or_else(|| "-".into());
         let (retuned, _) = emx_core::prelude::balance(
             emx_core::prelude::BalancerKind::SemiMatching,
-            &per_task,
+            per_task,
             p_workers,
             None,
         );
         t.push(vec![
             iter.to_string(),
-            (quartets as u64).to_string(),
-            fmt3(delta.max_abs()),
+            stats.quartets_per_iteration[iter].to_string(),
+            fmt3(stats.delta_norms[iter]),
             frozen_imb,
             fmt3(problem.imbalance(&retuned)),
         ]);
-
-        // Damped Roothaan step (50 % mixing) so ΔD decays monotonically
-        // and the drift is visible within a few iterations.
-        let f = h.add(&g).expect("shapes");
-        let fp = f.congruence(&x).expect("shapes");
-        let e = jacobi_eigen(&fp, 1e-12, 100).expect("eigen");
-        let c = x.matmul(&e.vectors).expect("shapes");
-        let fresh = emx_chem::scf::density_from_mos(&c, nocc);
-        let mut mixed = fresh.scaled(0.5);
-        mixed.axpy(0.5, &density).expect("shapes");
-        density = mixed;
     }
     t
 }

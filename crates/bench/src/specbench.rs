@@ -3,7 +3,9 @@
 //! reference, stamped into `results/BENCH_spec.json`.
 //!
 //! Three drivers run the *same* ΔD incremental SCF to the same
-//! convergence point:
+//! convergence point — each is the one RHF loop
+//! [`rhf_with`] with the [`IncrementalFock`] G strategy, and they
+//! differ only in how one Fock build's tasks run:
 //!
 //! * the sequential [`rhf_incremental`] — the replay-equivalence
 //!   baseline the speculative commit rule is defined against;
@@ -24,13 +26,12 @@
 //! for CI.
 
 use emx_chem::basis::{BasisSet, BasisedMolecule};
-use emx_chem::fock::FockBuilder;
+use emx_chem::fock::{FockBuilder, Screen};
 use emx_chem::molecule::Molecule;
-use emx_chem::oneint::{core_hamiltonian, overlap};
-use emx_chem::scf::{density_from_mos, rhf_incremental, ScfConfig, ScfResult};
+use emx_chem::scf::{rhf_incremental, rhf_with, IncrementalFock, ScfConfig, ScfResult};
 use emx_chem::screening::ScreenedPairs;
 use emx_chem::specscf::{rhf_incremental_speculative, SpeculativeStats};
-use emx_linalg::{jacobi_eigen, symmetric_orthogonalizer, Matrix};
+use emx_linalg::Matrix;
 use emx_runtime::{Executor, PolicyKind};
 use std::time::Instant;
 
@@ -110,8 +111,9 @@ fn spec_workload(smoke: bool) -> (BasisedMolecule, &'static str, &'static str) {
     }
 }
 
-/// The work-stealing reference: the same incremental SCF with each
-/// iteration's Fock build run as `nchunks` contiguous chunk-tasks under
+/// The work-stealing reference: the same incremental SCF — the
+/// [`IncrementalFock`] strategy of [`rhf_with`] — with each iteration's
+/// Fock build run as `nchunks` contiguous chunk-tasks under
 /// [`PolicyKind::WorkStealing`]. Per-worker partials merge in worker
 /// order (not transaction order) — the usual reduction of the threaded
 /// executor, which is exactly why its energies are only
@@ -123,110 +125,37 @@ fn rhf_incremental_stealing(
     workers: usize,
     nchunks: usize,
 ) -> ScfResult {
-    let nocc = bm.nelectrons() / 2;
     let nbf = bm.nbf;
-    let s = overlap(bm);
-    let h = core_hamiltonian(bm);
-    let x = symmetric_orthogonalizer(&s).expect("SPD overlap");
     let pairs = ScreenedPairs::build(bm, config.tau * 1e-2);
     let fb = FockBuilder::new(bm, &pairs, config.tau);
     let tasks = fb.tasks(usize::MAX);
     let nchunks = nchunks.clamp(1, tasks.len().max(1));
     let ex = Executor::new(workers, PolicyKind::WorkStealing(Default::default()));
 
-    let mut p = {
-        let hp = h.congruence(&x).expect("shapes");
-        let e = jacobi_eigen(&hp, 1e-12, 100).expect("eigen");
-        density_from_mos(&x.matmul(&e.vectors).expect("shapes"), nocc)
-    };
-    let enuc = bm.nuclear_repulsion();
-    let mut g = Matrix::zeros(nbf, nbf);
-    let mut p_prev = Matrix::zeros(nbf, nbf);
-    let mut e_old = 0.0;
-    let mut history = Vec::new();
-    let mut orbital_energies = Vec::new();
-    let mut mo_coefficients = Matrix::zeros(nbf, nbf);
-    let mut converged = false;
-    let mut iterations = 0;
-    const REBUILD_EVERY: usize = 8;
-    for it in 0..config.max_iter * 2 {
-        iterations = it + 1;
-        let rebuild = it % REBUILD_EVERY == 0;
-        let delta = p.sub(&p_prev).expect("shapes");
-        let dmax = if rebuild {
-            Vec::new()
-        } else {
-            fb.pair_density_max(&delta)
-        };
+    let build = |d: &Matrix, screen: Screen<'_>, g: &mut Matrix| -> u64 {
         let (locals, report) = ex.run(
             nchunks,
-            |_| (Matrix::zeros(nbf, nbf), fb.scratch()),
-            |c, local: &mut (Matrix, _)| {
+            |_| (Matrix::zeros(nbf, nbf), fb.scratch(), 0u64),
+            |c, (partial, scratch, q): &mut (Matrix, _, u64)| {
                 let begin = c * tasks.len() / nchunks;
                 let end = (c + 1) * tasks.len() / nchunks;
                 for task in &tasks[begin..end] {
-                    if rebuild {
-                        fb.execute(task, &p, &mut local.0, &mut local.1);
-                    } else {
-                        fb.execute_density_screened(
-                            task,
-                            &delta,
-                            &dmax,
-                            &mut local.0,
-                            &mut local.1,
-                        );
-                    }
+                    *q += fb.execute_with(task, screen, d, d, 0.5, partial, scratch);
                 }
             },
         );
         assert_eq!(report.total_tasks_run(), nchunks);
-        if rebuild {
-            g.fill_zero();
-        }
-        for (partial, _) in &locals {
+        let mut quartets = 0;
+        for (partial, _, q) in &locals {
             for (gi, pi) in g.as_mut_slice().iter_mut().zip(partial.as_slice()) {
                 *gi += pi;
             }
+            quartets += q;
         }
-        p_prev = p.clone();
-
-        let f = h.add(&g).expect("F = H + G");
-        let e_elec = 0.5 * p.dot(&h.add(&f).expect("H+F")).expect("trace");
-        history.push(e_elec + enuc);
-        let fp = f.congruence(&x).expect("shapes");
-        let eig = jacobi_eigen(&fp, 1e-12, 100).expect("eigen");
-        let c = x.matmul(&eig.vectors).expect("shapes");
-        let p_new = density_from_mos(&c, nocc);
-        orbital_energies = eig.values.clone();
-        mo_coefficients = c;
-        let de = (e_elec + enuc - e_old).abs();
-        let dp = {
-            let n = (nbf * nbf) as f64;
-            let mut acc = 0.0;
-            for (a, b) in p_new.as_slice().iter().zip(p.as_slice()) {
-                acc += (a - b) * (a - b);
-            }
-            (acc / n).sqrt()
-        };
-        e_old = e_elec + enuc;
-        p = p_new;
-        if it > 0 && de < config.e_tol.max(1e-8) && dp < config.d_tol.max(1e-6) {
-            converged = true;
-            break;
-        }
-    }
-    ScfResult {
-        energy: e_old,
-        electronic_energy: e_old - enuc,
-        nuclear_repulsion: enuc,
-        iterations,
-        converged,
-        orbital_energies,
-        density: p,
-        mo_coefficients,
-        energy_history: history,
-        phase_timings: Vec::new(),
-    }
+        quartets
+    };
+    let mut strategy = IncrementalFock::new(&fb);
+    rhf_with(bm, config, |p| strategy.next(p, build))
 }
 
 /// Runs the three drivers and collects the report. Full mode:

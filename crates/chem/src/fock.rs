@@ -43,6 +43,21 @@ pub struct FockTask {
     pub est_cost: u64,
 }
 
+/// Ket selection rule of [`FockBuilder::execute_with`].
+#[derive(Debug, Clone, Copy)]
+pub enum Screen<'a> {
+    /// Schwarz bound: the quartet `(I|J)` is skipped when `Q_I·Q_J`
+    /// falls below τ — the full build.
+    Schwarz,
+    /// Density-weighted bound: `(I|J)` is skipped when
+    /// `Q_I·Q_J·max(D_I, D_J)` falls below τ, with `D` the per-pair
+    /// maxima of [`FockBuilder::pair_density_max`]. Built on the density
+    /// *change* ΔD this is the incremental Fock build: as SCF converges,
+    /// ΔD shrinks and ever more quartets vanish, so per-task costs drift
+    /// between iterations.
+    Density(&'a [f64]),
+}
+
 /// The Fock-build engine: owns the screened pair list and the Schwarz
 /// threshold, and executes tasks against a density matrix.
 pub struct FockBuilder<'a> {
@@ -111,13 +126,9 @@ impl<'a> FockBuilder<'a> {
         est
     }
 
-    /// Executes one task: computes its surviving quartets into `scratch`
-    /// and adds their contributions into `g_local` (shape `nbf × nbf`).
-    ///
-    /// The surviving kets of the range are staged into the scratch's
-    /// ket list and evaluated in one batched kernel pass; their blocks
-    /// are then scattered in the same canonical ket order the scalar
-    /// loop used, so `G` is unchanged to the last bit.
+    /// Executes one RHF task: `G += J(P) − ½·K(P)` over the task's
+    /// Schwarz-surviving quartets, i.e. [`Self::execute_with`] with
+    /// `(Screen::Schwarz, P, P, ½)`.
     ///
     /// Returns the number of quartets actually computed (post-screening),
     /// which the persistence-based balancer uses as a measured cost.
@@ -129,20 +140,72 @@ impl<'a> FockBuilder<'a> {
         g_local: &mut Matrix,
         scratch: &mut EriScratch,
     ) -> u64 {
-        debug_assert_eq!(density.shape(), (self.bm.nbf, self.bm.nbf));
+        self.execute_with(
+            task,
+            Screen::Schwarz,
+            density,
+            density,
+            0.5,
+            g_local,
+            scratch,
+        )
+    }
+
+    /// Executes one task: computes its quartets that survive `screen`
+    /// into `scratch` and adds `J(d_j) − k_scale·K(d_k)` into `g_local`
+    /// (shape `nbf × nbf`).
+    ///
+    /// The RHF build is `(d_j, d_k, k_scale) = (P, P, ½)`; the UHF spin
+    /// Focks use `(Pᵅ+Pᵝ, Pᵅ, 1)` and `(Pᵅ+Pᵝ, Pᵝ, 1)`; the incremental
+    /// build passes `(ΔD, ΔD, ½)` under [`Screen::Density`].
+    ///
+    /// The surviving kets of the range are staged into the scratch's
+    /// ket list and evaluated in one batched kernel pass; their blocks
+    /// are then scattered in canonical ket order, so `G` is bitwise
+    /// independent of how the ket range was chunked.
+    ///
+    /// Returns the number of quartets computed. Allocation-free with a
+    /// warm scratch.
+    #[allow(clippy::too_many_arguments)] // kernel-internal plumbing
+    pub fn execute_with(
+        &self,
+        task: &FockTask,
+        screen: Screen,
+        d_j: &Matrix,
+        d_k: &Matrix,
+        k_scale: f64,
+        g_local: &mut Matrix,
+        scratch: &mut EriScratch,
+    ) -> u64 {
+        debug_assert_eq!(d_j.shape(), (self.bm.nbf, self.bm.nbf));
+        debug_assert_eq!(d_k.shape(), (self.bm.nbf, self.bm.nbf));
         debug_assert_eq!(g_local.shape(), (self.bm.nbf, self.bm.nbf));
         let mut kets = std::mem::take(&mut scratch.ket_buf);
         kets.clear();
-        for ket in task.ket_begin..task.ket_end {
-            if self.pairs.survives(task.bra, ket, self.tau) {
-                kets.push(ket as u32);
+        match screen {
+            Screen::Schwarz => {
+                for ket in task.ket_begin..task.ket_end {
+                    if self.pairs.survives(task.bra, ket, self.tau) {
+                        kets.push(ket as u32);
+                    }
+                }
+            }
+            Screen::Density(dmax) => {
+                debug_assert_eq!(dmax.len(), self.pairs.len());
+                for ket in task.ket_begin..task.ket_end {
+                    let dfactor = dmax[task.bra].max(dmax[ket]);
+                    if self.pairs.q[task.bra] * self.pairs.q[ket] * dfactor >= self.tau {
+                        kets.push(ket as u32);
+                    }
+                }
             }
         }
         eri_bra_block_into(scratch, &self.pairs.batch, task.bra, &kets);
         let bra_pair = &self.pairs.pairs[task.bra];
         for (i, &ket) in kets.iter().enumerate() {
             let ket_pair = &self.pairs.pairs[ket as usize];
-            self.scatter(bra_pair, ket_pair, scratch.ket_block(i), density, g_local);
+            let block = scratch.ket_block(i);
+            self.scatter(bra_pair, ket_pair, block, d_j, d_k, k_scale, g_local);
         }
         let done = kets.len() as u64;
         scratch.ket_buf = kets;
@@ -173,13 +236,14 @@ impl<'a> FockBuilder<'a> {
             }
             let ket_pair = &self.pairs.pairs[ket];
             let block = eri_quartet_into(scratch, bra_pair, ket_pair, &self.bm.shells);
-            self.scatter(bra_pair, ket_pair, block, density, g_local);
+            self.scatter(bra_pair, ket_pair, block, density, density, 0.5, g_local);
             done += 1;
         }
         done
     }
 
-    /// Scatters one quartet block into `g` using 8-fold symmetry.
+    /// Scatters one quartet block into `g` as `J(pj) − k_scale·K(pk)`
+    /// using 8-fold symmetry.
     ///
     /// Shell-level uniqueness comes from the triangular task loop
     /// (`a ≥ b`, `c ≥ d`, bra pair index ≥ ket pair index); component
@@ -199,12 +263,15 @@ impl<'a> FockBuilder<'a> {
     ///
     /// Returns the number of permutational images applied — the
     /// old-vs-scratch equivalence tests compare these counts.
+    #[allow(clippy::too_many_arguments)] // kernel-internal plumbing
     fn scatter(
         &self,
         bra: &crate::shellpair::ShellPair,
         ket: &crate::shellpair::ShellPair,
         block: &[f64],
-        p: &Matrix,
+        pj: &Matrix,
+        pk: &Matrix,
+        k_scale: f64,
         g: &mut Matrix,
     ) -> u64 {
         let off = &self.bm.shell_offsets;
@@ -246,7 +313,7 @@ impl<'a> FockBuilder<'a> {
                                 continue;
                             }
                         }
-                        images += scatter_images(g, p, v, mu, nu, la, si);
+                        images += scatter_images(g, pj, pk, k_scale, v, mu, nu, la, si);
                     }
                 }
             }
@@ -263,98 +330,6 @@ impl<'a> FockBuilder<'a> {
             self.execute(&task, density, &mut g, &mut scratch);
         }
         g
-    }
-
-    /// Executes one task with *separate* Coulomb and exchange densities:
-    /// `G += J(d_j) − k_scale·K(d_k)`.
-    ///
-    /// The RHF build is the special case `(d_j, d_k, k_scale) =
-    /// (P, P, ½)`; the UHF spin Focks use `(Pᵅ+Pᵝ, Pᵅ, 1)` and
-    /// `(Pᵅ+Pᵝ, Pᵝ, 1)`.
-    #[allow(clippy::too_many_arguments)] // kernel-internal plumbing
-    pub fn execute_jk(
-        &self,
-        task: &FockTask,
-        d_j: &Matrix,
-        d_k: &Matrix,
-        k_scale: f64,
-        g_local: &mut Matrix,
-        scratch: &mut EriScratch,
-    ) -> u64 {
-        let mut kets = std::mem::take(&mut scratch.ket_buf);
-        kets.clear();
-        for ket in task.ket_begin..task.ket_end {
-            if self.pairs.survives(task.bra, ket, self.tau) {
-                kets.push(ket as u32);
-            }
-        }
-        eri_bra_block_into(scratch, &self.pairs.batch, task.bra, &kets);
-        let bra_pair = &self.pairs.pairs[task.bra];
-        for (i, &ket) in kets.iter().enumerate() {
-            let ket_pair = &self.pairs.pairs[ket as usize];
-            let block = scratch.ket_block(i);
-            self.scatter_jk(bra_pair, ket_pair, block, d_j, d_k, k_scale, g_local);
-        }
-        let done = kets.len() as u64;
-        scratch.ket_buf = kets;
-        done
-    }
-
-    /// J/K scatter with independent densities (see [`Self::execute_jk`]).
-    #[allow(clippy::too_many_arguments)] // kernel-internal plumbing
-    fn scatter_jk(
-        &self,
-        bra: &crate::shellpair::ShellPair,
-        ket: &crate::shellpair::ShellPair,
-        block: &[f64],
-        pj: &Matrix,
-        pk: &Matrix,
-        k_scale: f64,
-        g: &mut Matrix,
-    ) {
-        let off = &self.bm.shell_offsets;
-        let ca = cartesian_components(bra.la);
-        let cb = cartesian_components(bra.lb);
-        let cc = cartesian_components(ket.la);
-        let cd = cartesian_components(ket.lb);
-        let (oa, ob, oc, od) = (off[bra.a], off[bra.b], off[ket.a], off[ket.b]);
-        let (ncb, ncc, ncd) = (cb.len(), cc.len(), cd.len());
-        let same_ab = bra.a == bra.b;
-        let same_cd = ket.a == ket.b;
-        let same_pair = bra.a == ket.a && bra.b == ket.b;
-
-        let mut idx = 0;
-        for ia in 0..ca.len() {
-            let mu = oa + ia;
-            for ib in 0..ncb {
-                let nu = ob + ib;
-                for ic in 0..ncc {
-                    let la = oc + ic;
-                    for id in 0..ncd {
-                        let si = od + id;
-                        let v = block[idx];
-                        idx += 1;
-                        if v == 0.0 {
-                            continue;
-                        }
-                        if same_ab && ib > ia {
-                            continue;
-                        }
-                        if same_cd && id > ic {
-                            continue;
-                        }
-                        if same_pair {
-                            let ij = mu * (mu + 1) / 2 + nu;
-                            let kl = la * (la + 1) / 2 + si;
-                            if ij < kl {
-                                continue;
-                            }
-                        }
-                        scatter_images_jk(g, pj, pk, k_scale, v, mu, nu, la, si);
-                    }
-                }
-            }
-        }
     }
 
     /// Largest |density| entry touching each shell pair's block — the
@@ -377,49 +352,17 @@ impl<'a> FockBuilder<'a> {
             })
             .collect()
     }
-
-    /// Executes one task with density-weighted screening: the quartet
-    /// `(I|J)` is skipped when `Q_I·Q_J·max(D_I, D_J)` falls below τ.
-    ///
-    /// With `density = ΔD` (the density *change*), this is the
-    /// incremental Fock build: as SCF converges, ΔD shrinks and ever
-    /// more quartets vanish — per-task costs drift between iterations,
-    /// eroding the persistence-balancer's core assumption.
-    pub fn execute_density_screened(
-        &self,
-        task: &FockTask,
-        density: &Matrix,
-        dmax: &[f64],
-        g_local: &mut Matrix,
-        scratch: &mut EriScratch,
-    ) -> u64 {
-        debug_assert_eq!(dmax.len(), self.pairs.len());
-        let mut kets = std::mem::take(&mut scratch.ket_buf);
-        kets.clear();
-        for ket in task.ket_begin..task.ket_end {
-            let dfactor = dmax[task.bra].max(dmax[ket]);
-            if self.pairs.q[task.bra] * self.pairs.q[ket] * dfactor >= self.tau {
-                kets.push(ket as u32);
-            }
-        }
-        eri_bra_block_into(scratch, &self.pairs.batch, task.bra, &kets);
-        let bra_pair = &self.pairs.pairs[task.bra];
-        for (i, &ket) in kets.iter().enumerate() {
-            let ket_pair = &self.pairs.pairs[ket as usize];
-            self.scatter(bra_pair, ket_pair, scratch.ket_block(i), density, g_local);
-        }
-        let done = kets.len() as u64;
-        scratch.ket_buf = kets;
-        done
-    }
 }
 
 /// Applies the J/K updates of one canonical integral value to every
 /// distinct permutational image of `(μν|λσ)`. Returns the number of
 /// distinct images applied.
+#[allow(clippy::too_many_arguments)] // kernel-internal plumbing
 fn scatter_images(
     g: &mut Matrix,
-    p: &Matrix,
+    pj: &Matrix,
+    pk: &Matrix,
+    k_scale: f64,
     v: f64,
     mu: usize,
     nu: usize,
@@ -450,49 +393,12 @@ fn scatter_images(
         // full (a,b,c,d) index space, so applying the two naive updates
         // once per distinct image reproduces the unrestricted four-index
         // sums exactly:
-        //   Coulomb   G[ab] += P[cd]·(ab|cd)
-        //   Exchange  G[ac] −= ½·P[bd]·(ab|cd)
-        g[(a, b)] += p.row(c)[d] * v;
-        g[(a, c)] -= 0.5 * p.row(b)[d] * v;
-    }
-    nseen as u64
-}
-
-/// J/K image scatter with independent Coulomb/exchange densities.
-#[allow(clippy::too_many_arguments)] // kernel-internal plumbing
-fn scatter_images_jk(
-    g: &mut Matrix,
-    pj: &Matrix,
-    pk: &Matrix,
-    k_scale: f64,
-    v: f64,
-    mu: usize,
-    nu: usize,
-    la: usize,
-    si: usize,
-) {
-    let images = [
-        (mu, nu, la, si),
-        (nu, mu, la, si),
-        (mu, nu, si, la),
-        (nu, mu, si, la),
-        (la, si, mu, nu),
-        (si, la, mu, nu),
-        (la, si, nu, mu),
-        (si, la, nu, mu),
-    ];
-    let mut seen: [(usize, usize, usize, usize); 8] = [(usize::MAX, 0, 0, 0); 8];
-    let mut nseen = 0;
-    for &im in &images {
-        if seen[..nseen].contains(&im) {
-            continue;
-        }
-        seen[nseen] = im;
-        nseen += 1;
-        let (a, b, c, d) = im;
+        //   Coulomb   G[ab] += Pj[cd]·(ab|cd)
+        //   Exchange  G[ac] −= k_scale·Pk[bd]·(ab|cd)
         g[(a, b)] += pj.row(c)[d] * v;
         g[(a, c)] -= k_scale * pk.row(b)[d] * v;
     }
+    nseen as u64
 }
 
 /// Reference `G` built from the naive four-index loop over the full
@@ -642,22 +548,6 @@ mod tests {
     }
 
     #[test]
-    fn jk_build_reduces_to_rhf_build() {
-        // execute_jk(P, P, ½) must equal the fused RHF scatter exactly.
-        let (bm, pairs) = setup(&Molecule::water());
-        let fb = FockBuilder::new(&bm, &pairs, 1e-10);
-        let d = mock_density(bm.nbf);
-        let mut g_rhf = Matrix::zeros(bm.nbf, bm.nbf);
-        let mut g_jk = Matrix::zeros(bm.nbf, bm.nbf);
-        let mut scratch = fb.scratch();
-        for t in fb.tasks(5) {
-            fb.execute(&t, &d, &mut g_rhf, &mut scratch);
-            fb.execute_jk(&t, &d, &d, 0.5, &mut g_jk, &mut scratch);
-        }
-        assert!(g_rhf.max_abs_diff(&g_jk) < 1e-14);
-    }
-
-    #[test]
     fn jk_pure_coulomb_and_pure_exchange_split() {
         // J-only plus (−K)-only equals the combined build (linearity).
         let (bm, pairs) = setup(&Molecule::h2(1.4));
@@ -669,9 +559,10 @@ mod tests {
         let mut combined = Matrix::zeros(bm.nbf, bm.nbf);
         let mut scratch = fb.scratch();
         for t in fb.tasks(usize::MAX) {
-            fb.execute_jk(&t, &d, &zero, 1.0, &mut j_only, &mut scratch);
-            fb.execute_jk(&t, &zero, &d, 1.0, &mut k_only, &mut scratch);
-            fb.execute_jk(&t, &d, &d, 1.0, &mut combined, &mut scratch);
+            let s = Screen::Schwarz;
+            fb.execute_with(&t, s, &d, &zero, 1.0, &mut j_only, &mut scratch);
+            fb.execute_with(&t, s, &zero, &d, 1.0, &mut k_only, &mut scratch);
+            fb.execute_with(&t, s, &d, &d, 1.0, &mut combined, &mut scratch);
         }
         let sum = j_only.add(&k_only).unwrap();
         assert!(sum.max_abs_diff(&combined) < 1e-13);
@@ -734,7 +625,7 @@ mod tests {
                 let ket_pair = &fb.pairs.pairs[ket];
                 let block =
                     crate::eri::eri_quartet_alloc_reference(bra_pair, ket_pair, &fb.bm.shells);
-                images += fb.scatter(bra_pair, ket_pair, &block, d, &mut g);
+                images += fb.scatter(bra_pair, ket_pair, &block, d, d, 0.5, &mut g);
                 quartets += 1;
             }
         }
@@ -755,7 +646,7 @@ mod tests {
                 let ket_pair = &fb.pairs.pairs[ket];
                 let block =
                     crate::eri::eri_quartet_into(&mut scratch, bra_pair, ket_pair, &fb.bm.shells);
-                images += fb.scatter(bra_pair, ket_pair, block, d, &mut g);
+                images += fb.scatter(bra_pair, ket_pair, block, d, d, 0.5, &mut g);
                 quartets += 1;
             }
         }

@@ -13,9 +13,10 @@
 //!   runs on; [`eri`] keeps the scalar oracle);
 //! * [`screening`] — Schwarz screening (the source of task-cost skew);
 //! * [`fock`] — the Fock build decomposed into schedulable tasks;
-//! * [`scf`] — the RHF driver consuming the kernel;
-//! * [`specscf`] — the incremental driver's ΔD Fock build run as a
-//!   speculative Block-STM block on `emx-spec`;
+//! * [`scf`] — the one RHF loop consuming the kernel, with the full and
+//!   incremental (ΔD) G strategies;
+//! * [`specscf`] — the ΔD strategy's Fock build run as a speculative
+//!   Block-STM block on `emx-spec`;
 //! * [`tasks`], [`synthetic`] — cost statistics and calibrated synthetic
 //!   surrogates for fast execution-model sweeps.
 //!
@@ -57,13 +58,14 @@ pub mod uhf;
 /// The most commonly used items in one import.
 pub mod prelude {
     pub use crate::basis::{BasisSet, BasisedMolecule, Element, Shell};
-    pub use crate::fock::{FockBuilder, FockTask};
+    pub use crate::fock::{FockBuilder, FockTask, Screen};
     pub use crate::molecule::Molecule;
     pub use crate::mp2::{ao_to_mo, full_eri_tensor, mp2_energy};
     pub use crate::oneint::{dipole, dipole_moment, AU_TO_DEBYE};
     pub use crate::properties::{mulliken_charges, mulliken_electron_count};
     pub use crate::scf::{
-        rhf, rhf_incremental, rhf_with, IncrementalStats, IterationPhases, ScfConfig, ScfResult,
+        rhf, rhf_incremental, rhf_with, IncrementalFock, IncrementalStats, IterationPhases,
+        ScfConfig, ScfResult,
     };
     pub use crate::screening::{ScreenedPairs, ScreeningStats};
     pub use crate::specscf::{rhf_incremental_speculative, SpeculativeStats};

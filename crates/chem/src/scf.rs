@@ -1,13 +1,19 @@
 //! Restricted Hartree–Fock SCF driver.
 //!
-//! A textbook closed-shell Roothaan procedure with optional DIIS
-//! acceleration. The SCF loop is the *consumer* of the Fock-build kernel
-//! that the execution-model study schedules: each iteration performs one
-//! full task-set execution, so per-iteration wall time is exactly the
+//! A textbook closed-shell Roothaan procedure with DIIS acceleration.
+//! The SCF loop is the *consumer* of the Fock-build kernel that the
+//! execution-model study schedules: each iteration performs one
+//! task-set execution, so per-iteration wall time is exactly the
 //! quantity the paper's experiments measure.
+//!
+//! [`rhf_with`] is the one RHF iteration loop. What varies between
+//! drivers is only how each iteration's `G` gets built — the *G
+//! strategy* passed in: a full build on any runtime, or the incremental
+//! ΔD build of [`IncrementalFock`] (serial here, speculative in
+//! [`crate::specscf`]).
 
 use crate::basis::BasisedMolecule;
-use crate::fock::FockBuilder;
+use crate::fock::{FockBuilder, Screen};
 use crate::oneint::{core_hamiltonian, overlap};
 use crate::screening::ScreenedPairs;
 use emx_linalg::{jacobi_eigen, lu_decompose, lu_solve, symmetric_orthogonalizer, Matrix};
@@ -21,8 +27,6 @@ pub struct ScfConfig {
     pub e_tol: f64,
     /// Convergence threshold on the density RMS change.
     pub d_tol: f64,
-    /// Enable DIIS convergence acceleration.
-    pub diis: bool,
     /// Maximum DIIS subspace size.
     pub diis_size: usize,
     /// Schwarz quartet threshold for the Fock builds.
@@ -35,7 +39,6 @@ impl Default for ScfConfig {
             max_iter: 100,
             e_tol: 1e-9,
             d_tol: 1e-7,
-            diis: true,
             diis_size: 6,
             tau: 1e-10,
         }
@@ -87,7 +90,7 @@ pub struct ScfResult {
 
 /// Builds the closed-shell density `P = 2 Σᵢ^{occ} C·Cᵀ` from the MO
 /// coefficients (columns) and the number of doubly-occupied orbitals.
-pub fn density_from_mos(c: &Matrix, nocc: usize) -> Matrix {
+fn density_from_mos(c: &Matrix, nocc: usize) -> Matrix {
     let n = c.rows();
     let mut p = Matrix::zeros(n, n);
     for i in 0..n {
@@ -171,26 +174,24 @@ pub fn rhf_with(
         history.push(e_elec + enuc);
 
         let diis_start = std::time::Instant::now();
-        if config.diis {
-            // DIIS error e = FPS − SPF, expressed in the orthonormal
-            // basis so its norm is meaningful.
-            let fps = f.matmul(&p).expect("FP").matmul(&s).expect("FPS");
-            let spf = s.matmul(&p).expect("SP").matmul(&f).expect("SPF");
-            let err = fps
-                .sub(&spf)
-                .expect("FPS-SPF")
-                .congruence(&x)
-                .expect("error transform");
-            diis_f.push(f.clone());
-            diis_e.push(err);
-            if diis_f.len() > config.diis_size {
-                diis_f.remove(0);
-                diis_e.remove(0);
-            }
-            if diis_f.len() >= 2 {
-                if let Some(fd) = diis_extrapolate(&diis_f, &diis_e) {
-                    f = fd;
-                }
+        // DIIS error e = FPS − SPF, expressed in the orthonormal basis so
+        // its norm is meaningful.
+        let fps = f.matmul(&p).expect("FP").matmul(&s).expect("FPS");
+        let spf = s.matmul(&p).expect("SP").matmul(&f).expect("SPF");
+        let err = fps
+            .sub(&spf)
+            .expect("FPS-SPF")
+            .congruence(&x)
+            .expect("error transform");
+        diis_f.push(f.clone());
+        diis_e.push(err);
+        if diis_f.len() > config.diis_size {
+            diis_f.remove(0);
+            diis_e.remove(0);
+        }
+        if diis_f.len() >= 2 {
+            if let Some(fd) = diis_extrapolate(&diis_f, &diis_e) {
+                f = fd;
             }
         }
         phases.diis = diis_start.elapsed();
@@ -232,7 +233,7 @@ pub fn rhf_with(
 }
 
 /// Per-iteration statistics of an incremental SCF run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct IncrementalStats {
     /// Quartets actually computed in each iteration (shrinks as ΔD
     /// converges).
@@ -241,138 +242,100 @@ pub struct IncrementalStats {
     pub delta_norms: Vec<f64>,
 }
 
-/// RHF with **incremental Fock builds**: `G_k = G_{k−1} + G(ΔD_k)` with
-/// density-weighted screening on ΔD.
+/// The incremental (ΔD) G strategy for [`rhf_with`]:
+/// `G_k = G_{k−1} + G(ΔD_k)` with `ΔD_k = P_k − P_{k−1}` under
+/// density-weighted screening ([`Screen::Density`]).
+///
+/// Screening ΔD accumulates the skipped contributions as bias in `G`,
+/// so every 8th call (from the first) rebuilds `G` from `P` under
+/// plain Schwarz screening, a conventional cadence of production codes.
+/// The caller supplies the task execution as `build(D, screen, g)`,
+/// which adds `J(D) − ½K(D)` over the tasks surviving `screen` into `g`
+/// and returns the quartets it computed — serially, as one speculative
+/// block, or on any runtime. `G` stays an exact function of the density, so DIIS in
+/// [`rhf_with`] (which extrapolates only the `F` it diagonalizes) leaves
+/// the recursion intact.
+pub struct IncrementalFock<'a> {
+    fb: &'a FockBuilder<'a>,
+    g: Matrix,
+    p_prev: Matrix,
+    calls: usize,
+    stats: IncrementalStats,
+}
+
+/// Calls of [`IncrementalFock::next`] per full rebuild of `G`.
+const REBUILD_EVERY: usize = 8;
+
+impl<'a> IncrementalFock<'a> {
+    /// A fresh strategy for `fb`'s molecule: the first call rebuilds.
+    pub fn new(fb: &'a FockBuilder<'a>) -> IncrementalFock<'a> {
+        let nbf = fb.bm.nbf;
+        IncrementalFock {
+            fb,
+            g: Matrix::zeros(nbf, nbf),
+            p_prev: Matrix::zeros(nbf, nbf),
+            calls: 0,
+            stats: IncrementalStats::default(),
+        }
+    }
+
+    /// Returns `G(P)`, updating the running `G` with one call of
+    /// `build`: a full rebuild from `p` on every 8th call, otherwise an
+    /// incremental build on `ΔD = p − P_prev`.
+    pub fn next(
+        &mut self,
+        p: &Matrix,
+        mut build: impl FnMut(&Matrix, Screen<'_>, &mut Matrix) -> u64,
+    ) -> Matrix {
+        let delta = p.sub(&self.p_prev).expect("shapes");
+        self.stats.delta_norms.push(delta.max_abs());
+        let quartets = if self.calls % REBUILD_EVERY == 0 {
+            self.g.fill_zero();
+            build(p, Screen::Schwarz, &mut self.g)
+        } else {
+            let dmax = self.fb.pair_density_max(&delta);
+            build(&delta, Screen::Density(&dmax), &mut self.g)
+        };
+        self.stats.quartets_per_iteration.push(quartets);
+        self.calls += 1;
+        self.p_prev.clone_from(p);
+        self.g.clone()
+    }
+
+    /// The per-iteration statistics gathered so far.
+    pub fn into_stats(self) -> IncrementalStats {
+        self.stats
+    }
+}
+
+/// RHF with **incremental Fock builds**: [`rhf_with`] driven by the
+/// [`IncrementalFock`] strategy over the serial task loop.
 ///
 /// Physically identical to [`rhf`] within the screening tolerance, but
 /// the *work per task changes every iteration* — the returned
 /// [`IncrementalStats`] quantify the drift the execution-model study's
-/// persistence assumption has to survive.
-///
-/// Note: DIIS extrapolates the Fock matrix away from `H + G(P)`, which
-/// would break the simple `G` recursion, so this driver uses plain
-/// Roothaan iterations with a slightly higher iteration cap.
+/// persistence assumption has to survive. DIIS stays on: it
+/// extrapolates only the Fock matrix that gets diagonalized, while `G`
+/// remains an exact function of each iteration's density.
 pub fn rhf_incremental(bm: &BasisedMolecule, config: &ScfConfig) -> (ScfResult, IncrementalStats) {
-    let nelec = bm.nelectrons();
-    assert!(
-        nelec % 2 == 0,
-        "RHF requires an even electron count, got {nelec}"
-    );
-    let nocc = nelec / 2;
-
-    let s = overlap(bm);
-    let h = core_hamiltonian(bm);
-    let x = symmetric_orthogonalizer(&s).expect("overlap must be positive definite");
     let pairs = ScreenedPairs::build(bm, config.tau * 1e-2);
-    let fock_builder = FockBuilder::new(bm, &pairs, config.tau);
-    let tasks = fock_builder.tasks(usize::MAX);
-
-    let mut p = {
-        let hp = h.congruence(&x).expect("congruence shapes");
-        let e = jacobi_eigen(&hp, 1e-12, 100).expect("Hcore diagonalization");
-        let c = x.matmul(&e.vectors).expect("back-transform");
-        density_from_mos(&c, nocc)
-    };
-
-    let enuc = bm.nuclear_repulsion();
-    let mut g = Matrix::zeros(bm.nbf, bm.nbf);
-    let mut p_prev = Matrix::zeros(bm.nbf, bm.nbf);
-    let mut e_old = 0.0;
-    let mut history = Vec::new();
-    let mut quartets_per_iteration = Vec::new();
-    let mut delta_norms = Vec::new();
-    let mut orbital_energies = Vec::new();
-    let mut mo_coefficients = Matrix::zeros(bm.nbf, bm.nbf);
-    let mut converged = false;
-    let mut iterations = 0;
-
-    // Incremental screening accumulates the skipped contributions as
-    // bias in G; production codes therefore rebuild from scratch
-    // periodically. Eight is a conventional cadence.
-    const REBUILD_EVERY: usize = 8;
-    let mut phase_timings = Vec::new();
-    let mut scratch = fock_builder.scratch();
-    for it in 0..config.max_iter * 2 {
-        iterations = it + 1;
-        let mut phases = IterationPhases::default();
-        let iter_start = std::time::Instant::now();
-        let rebuild = it % REBUILD_EVERY == 0;
-        let quartets = if rebuild {
-            g.fill_zero();
-            let mut q = 0;
-            for task in &tasks {
-                q += fock_builder.execute(task, &p, &mut g, &mut scratch);
-            }
-            delta_norms.push(p.sub(&p_prev).expect("shapes").max_abs());
-            q
-        } else {
-            // Incremental build on the density change.
-            let delta = p.sub(&p_prev).expect("shapes");
-            delta_norms.push(delta.max_abs());
-            let dmax = fock_builder.pair_density_max(&delta);
-            let mut q = 0;
-            for task in &tasks {
-                q += fock_builder.execute_density_screened(
-                    task,
-                    &delta,
-                    &dmax,
-                    &mut g,
-                    &mut scratch,
-                );
-            }
-            q
-        };
-        quartets_per_iteration.push(quartets);
-        phases.fock = iter_start.elapsed();
-        p_prev = p.clone();
-
-        let f = h.add(&g).expect("F = H + G");
-        let e_elec = 0.5 * p.dot(&h.add(&f).expect("H+F")).expect("energy trace");
-        history.push(e_elec + enuc);
-
-        let diag_start = std::time::Instant::now();
-        let fp = f.congruence(&x).expect("F transform");
-        let eig = jacobi_eigen(&fp, 1e-12, 100).expect("Fock diagonalization");
-        let c = x.matmul(&eig.vectors).expect("back-transform");
-        let p_new = density_from_mos(&c, nocc);
-        phases.diag = diag_start.elapsed();
-        orbital_energies = eig.values.clone();
-        mo_coefficients = c;
-
-        let de = (e_elec + enuc - e_old).abs();
-        let dp = rms_diff(&p_new, &p);
-        e_old = e_elec + enuc;
-        p = p_new;
-        phases.total = iter_start.elapsed();
-        phase_timings.push(phases);
-        if it > 0 && de < config.e_tol.max(1e-8) && dp < config.d_tol.max(1e-6) {
-            converged = true;
-            break;
-        }
-    }
-
-    (
-        ScfResult {
-            energy: e_old,
-            electronic_energy: e_old - enuc,
-            nuclear_repulsion: enuc,
-            iterations,
-            converged,
-            orbital_energies,
-            density: p,
-            mo_coefficients,
-            energy_history: history,
-            phase_timings,
-        },
-        IncrementalStats {
-            quartets_per_iteration,
-            delta_norms,
-        },
-    )
+    let fb = FockBuilder::new(bm, &pairs, config.tau);
+    let tasks = fb.tasks(usize::MAX);
+    let mut scratch = fb.scratch();
+    let mut strategy = IncrementalFock::new(&fb);
+    let result = rhf_with(bm, config, |p| {
+        strategy.next(p, |d, screen, g| {
+            tasks
+                .iter()
+                .map(|t| fb.execute_with(t, screen, d, d, 0.5, g, &mut scratch))
+                .sum()
+        })
+    });
+    (result, strategy.into_stats())
 }
 
 /// Root-mean-square elementwise difference.
-pub(crate) fn rms_diff(a: &Matrix, b: &Matrix) -> f64 {
+fn rms_diff(a: &Matrix, b: &Matrix) -> f64 {
     let n = (a.rows() * a.cols()) as f64;
     let mut s = 0.0;
     for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
@@ -412,26 +375,22 @@ mod tests {
     use crate::basis::{BasisSet, BasisedMolecule};
     use crate::molecule::Molecule;
 
-    fn run(mol: &Molecule, basis: BasisSet, diis: bool) -> ScfResult {
+    fn run(mol: &Molecule, basis: BasisSet) -> ScfResult {
         let bm = BasisedMolecule::assign(mol, basis);
-        let cfg = ScfConfig {
-            diis,
-            ..ScfConfig::default()
-        };
-        rhf(&bm, &cfg)
+        rhf(&bm, &ScfConfig::default())
     }
 
     #[test]
     fn h2_sto3g_total_energy() {
         // Szabo & Ostlund: E(RHF/STO-3G, R = 1.4 a₀) = −1.1167 Eh.
-        let r = run(&Molecule::h2(1.4), BasisSet::Sto3g, true);
+        let r = run(&Molecule::h2(1.4), BasisSet::Sto3g);
         assert!(r.converged, "did not converge: {:?}", r.energy_history);
         assert!((r.energy + 1.1167).abs() < 1e-3, "E = {}", r.energy);
     }
 
     #[test]
     fn h2_nuclear_repulsion_split() {
-        let r = run(&Molecule::h2(1.4), BasisSet::Sto3g, true);
+        let r = run(&Molecule::h2(1.4), BasisSet::Sto3g);
         assert!((r.nuclear_repulsion - 1.0 / 1.4).abs() < 1e-12);
         assert!((r.electronic_energy + r.nuclear_repulsion - r.energy).abs() < 1e-12);
     }
@@ -444,7 +403,7 @@ mod tests {
         // (0.9572 Å, 104.52°) sits 3.0 mEh higher at −74.9629. Mixing
         // the two was a long-standing validation-table bug; the tight
         // tolerances here keep the pairing honest.
-        let exp = run(&Molecule::water(), BasisSet::Sto3g, true);
+        let exp = run(&Molecule::water(), BasisSet::Sto3g);
         assert!(exp.converged);
         assert!(
             (exp.energy - (-74.962929)).abs() < 5e-5,
@@ -452,7 +411,7 @@ mod tests {
             exp.energy
         );
 
-        let opt = run(&Molecule::water_sto3g_opt(), BasisSet::Sto3g, true);
+        let opt = run(&Molecule::water_sto3g_opt(), BasisSet::Sto3g);
         assert!(opt.converged);
         assert!(
             (opt.energy - (-74.965901)).abs() < 5e-5,
@@ -468,8 +427,8 @@ mod tests {
     #[test]
     fn water_631g_lower_than_sto3g() {
         // The variational principle: a bigger basis gives a lower energy.
-        let small = run(&Molecule::water(), BasisSet::Sto3g, true);
-        let big = run(&Molecule::water(), BasisSet::SixThirtyOneG, true);
+        let small = run(&Molecule::water(), BasisSet::Sto3g);
+        let big = run(&Molecule::water(), BasisSet::SixThirtyOneG);
         assert!(big.converged);
         assert!(
             big.energy < small.energy,
@@ -500,6 +459,28 @@ mod tests {
         // ΔD norms decay as SCF converges.
         assert!(stats.delta_norms.last().unwrap() < &1e-3);
         assert!(stats.delta_norms[0] > 10.0 * stats.delta_norms.last().unwrap());
+    }
+
+    #[test]
+    fn incremental_scf_converges_on_split_valence_dimer() {
+        // Plain Roothaan ΔD iterations (no DIIS) stall 39 Eh above the
+        // RHF energy on this dimer; with DIIS they converge at the
+        // default tolerances.
+        let bm = BasisedMolecule::assign(&Molecule::water_cluster(2, 8), BasisSet::SixThirtyOneG);
+        let regular = rhf(&bm, &ScfConfig::default());
+        let (incremental, _) = rhf_incremental(&bm, &ScfConfig::default());
+        assert!(regular.converged);
+        assert!(
+            incremental.converged,
+            "history {:?}",
+            incremental.energy_history
+        );
+        assert!(
+            (incremental.energy - regular.energy).abs() < 1e-6,
+            "incremental {} vs regular {}",
+            incremental.energy,
+            regular.energy
+        );
     }
 
     #[test]
@@ -549,8 +530,6 @@ mod tests {
     fn density_screened_execute_drops_work_for_tiny_delta() {
         // Mechanism check, independent of SCF: scaling the density
         // change down by 1e-6 must reduce the surviving quartets.
-        use crate::fock::FockBuilder;
-        use crate::screening::ScreenedPairs;
         let bm = BasisedMolecule::assign(&Molecule::alkane(2), BasisSet::Sto3g);
         let pairs = ScreenedPairs::build(&bm, 1e-12);
         let fb = FockBuilder::new(&bm, &pairs, 1e-8);
@@ -562,28 +541,19 @@ mod tests {
         let tasks = fb.tasks(usize::MAX);
         let mut g = Matrix::zeros(bm.nbf, bm.nbf);
         let mut scratch = fb.scratch();
-        let full: u64 = {
-            let dmax = fb.pair_density_max(&d);
+        let mut quartets = |delta: &Matrix| -> u64 {
+            let dmax = fb.pair_density_max(delta);
+            let screen = Screen::Density(&dmax);
             tasks
                 .iter()
-                .map(|t| fb.execute_density_screened(t, &d, &dmax, &mut g, &mut scratch))
+                .map(|t| fb.execute_with(t, screen, delta, delta, 0.5, &mut g, &mut scratch))
                 .sum()
         };
-        let small: u64 = {
-            let dmax = fb.pair_density_max(&tiny);
-            tasks
-                .iter()
-                .map(|t| fb.execute_density_screened(t, &tiny, &dmax, &mut g, &mut scratch))
-                .sum()
-        };
+        let full = quartets(&d);
+        let small = quartets(&tiny);
         assert!(small < full / 2, "full {full}, small {small}");
         // And zero delta does zero work.
-        let zero = Matrix::zeros(bm.nbf, bm.nbf);
-        let dmax = fb.pair_density_max(&zero);
-        let none: u64 = tasks
-            .iter()
-            .map(|t| fb.execute_density_screened(t, &zero, &dmax, &mut g, &mut scratch))
-            .sum();
+        let none = quartets(&Matrix::zeros(bm.nbf, bm.nbf));
         assert_eq!(none, 0);
     }
 
@@ -599,7 +569,7 @@ mod tests {
     #[test]
     fn water_631gstar_total_energy() {
         // Literature RHF/6-31G* (Cartesian 6d) water ≈ −76.01 Eh.
-        let r = run(&Molecule::water(), BasisSet::SixThirtyOneGStar, true);
+        let r = run(&Molecule::water(), BasisSet::SixThirtyOneGStar);
         assert!(r.converged);
         assert!((r.energy + 76.01).abs() < 0.05, "E = {}", r.energy);
     }
@@ -615,17 +585,8 @@ mod tests {
     }
 
     #[test]
-    fn diis_accelerates_or_matches() {
-        let with = run(&Molecule::water(), BasisSet::Sto3g, true);
-        let without = run(&Molecule::water(), BasisSet::Sto3g, false);
-        assert!(with.converged && without.converged);
-        assert!((with.energy - without.energy).abs() < 1e-6);
-        assert!(with.iterations <= without.iterations + 2);
-    }
-
-    #[test]
     fn energy_history_is_recorded() {
-        let r = run(&Molecule::h2(1.4), BasisSet::Sto3g, true);
+        let r = run(&Molecule::h2(1.4), BasisSet::Sto3g);
         assert_eq!(r.energy_history.len(), r.iterations);
         // Final history entry equals the reported energy.
         assert!((r.energy_history.last().unwrap() - r.energy).abs() < 1e-10);
@@ -633,7 +594,7 @@ mod tests {
 
     #[test]
     fn phase_timings_cover_every_iteration() {
-        let r = run(&Molecule::water(), BasisSet::Sto3g, true);
+        let r = run(&Molecule::water(), BasisSet::Sto3g);
         assert_eq!(r.phase_timings.len(), r.iterations);
         for ph in &r.phase_timings {
             // Phases are sub-intervals of the iteration.
@@ -660,7 +621,7 @@ mod tests {
 
     #[test]
     fn orbital_energies_water_shape() {
-        let r = run(&Molecule::water(), BasisSet::Sto3g, true);
+        let r = run(&Molecule::water(), BasisSet::Sto3g);
         assert_eq!(r.orbital_energies.len(), 7);
         // Core O(1s) orbital should be deeply bound (≈ −20.2 Eh).
         assert!(r.orbital_energies[0] < -18.0);

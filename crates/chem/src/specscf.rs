@@ -5,7 +5,10 @@
 //! read-after-write hazard in disguise: the Fock tasks read the density
 //! epoch the iteration was planned against, and any refresh of that
 //! epoch invalidates work already in flight. This driver makes the
-//! hazard explicit and hands it to `emx-spec`:
+//! hazard explicit and hands it to `emx-spec`. It is not a second SCF
+//! loop: it runs the one loop [`rhf_with`] with the [`IncrementalFock`]
+//! G strategy (DIIS on, full rebuild every 8th build), and only the
+//! strategy's task execution is speculative:
 //!
 //! * each iteration's Fock build becomes one speculative block of
 //!   chunked **Fock transactions** (read the epoch marker at location
@@ -30,13 +33,10 @@
 //! workloads), and is *exactly* reproducible run to run.
 
 use crate::basis::BasisedMolecule;
-use crate::fock::FockBuilder;
-use crate::oneint::{core_hamiltonian, overlap};
-use crate::scf::{
-    density_from_mos, rms_diff, IncrementalStats, IterationPhases, ScfConfig, ScfResult,
-};
+use crate::fock::{FockBuilder, Screen};
+use crate::scf::{rhf_with, IncrementalFock, IncrementalStats, ScfConfig, ScfResult};
 use crate::screening::ScreenedPairs;
-use emx_linalg::{jacobi_eigen, symmetric_orthogonalizer, Matrix};
+use emx_linalg::Matrix;
 use emx_spec::{execute_transactions, Stall, TxnCtx};
 
 /// Speculation effort accumulated over a whole speculative SCF run.
@@ -103,7 +103,10 @@ fn plan_block(ntasks: usize, nchunks: usize) -> Vec<SpecTxn> {
 }
 
 /// RHF with incremental Fock builds where every iteration's ΔG build
-/// runs as a speculative Block-STM block on `workers` threads.
+/// runs as a speculative Block-STM block on `workers` threads: the
+/// [`IncrementalFock`] strategy of [`rhf_with`], whose `build` is one
+/// [`execute_transactions`] block with the committed partials added in
+/// block order.
 ///
 /// Converges to the same state as
 /// [`rhf_incremental`](crate::scf::rhf_incremental) (energies agree to
@@ -118,62 +121,17 @@ pub fn rhf_incremental_speculative(
     nchunks: usize,
 ) -> (ScfResult, IncrementalStats, SpeculativeStats) {
     assert!(workers > 0, "need at least one worker");
-    let nelec = bm.nelectrons();
-    assert!(
-        nelec % 2 == 0,
-        "RHF requires an even electron count, got {nelec}"
-    );
-    let nocc = nelec / 2;
     let nbf = bm.nbf;
-
-    let s = overlap(bm);
-    let h = core_hamiltonian(bm);
-    let x = symmetric_orthogonalizer(&s).expect("overlap must be positive definite");
     let pairs = ScreenedPairs::build(bm, config.tau * 1e-2);
-    let fock_builder = FockBuilder::new(bm, &pairs, config.tau);
-    let tasks = fock_builder.tasks(usize::MAX);
-
-    let mut p = {
-        let hp = h.congruence(&x).expect("congruence shapes");
-        let e = jacobi_eigen(&hp, 1e-12, 100).expect("Hcore diagonalization");
-        let c = x.matmul(&e.vectors).expect("back-transform");
-        density_from_mos(&c, nocc)
-    };
-
-    let enuc = bm.nuclear_repulsion();
-    let mut g = Matrix::zeros(nbf, nbf);
-    let mut p_prev = Matrix::zeros(nbf, nbf);
-    let mut e_old = 0.0;
-    let mut history = Vec::new();
-    let mut quartets_per_iteration = Vec::new();
-    let mut delta_norms = Vec::new();
-    let mut orbital_energies = Vec::new();
-    let mut mo_coefficients = Matrix::zeros(nbf, nbf);
-    let mut converged = false;
-    let mut iterations = 0;
+    let fb = FockBuilder::new(bm, &pairs, config.tau);
+    let tasks = fb.tasks(usize::MAX);
+    let plan = plan_block(tasks.len(), nchunks);
     let mut spec_stats = SpeculativeStats {
         workers,
         ..SpeculativeStats::default()
     };
 
-    // Same rebuild cadence as the sequential incremental driver.
-    const REBUILD_EVERY: usize = 8;
-    let mut phase_timings = Vec::new();
-    for it in 0..config.max_iter * 2 {
-        iterations = it + 1;
-        let mut phases = IterationPhases::default();
-        let iter_start = std::time::Instant::now();
-        let rebuild = it % REBUILD_EVERY == 0;
-
-        let delta = p.sub(&p_prev).expect("shapes");
-        delta_norms.push(delta.max_abs());
-        let dmax = if rebuild {
-            Vec::new()
-        } else {
-            fock_builder.pair_density_max(&delta)
-        };
-
-        let plan = plan_block(tasks.len(), nchunks);
+    let mut build = |d: &Matrix, screen: Screen<'_>, g: &mut Matrix| -> u64 {
         // The block body: a pure function of its reads. The epoch read
         // orders every Fock chunk after the refreshes that committed
         // before it; the yield invites preemption between the read and
@@ -189,21 +147,11 @@ pub fn rhf_incremental_speculative(
                 SpecTxn::Fock(begin, end) => {
                     std::thread::yield_now();
                     let mut partial = Matrix::zeros(nbf, nbf);
-                    let mut scratch = fock_builder.scratch();
-                    let mut q = 0;
-                    for task in &tasks[begin..end] {
-                        q += if rebuild {
-                            fock_builder.execute(task, &p, &mut partial, &mut scratch)
-                        } else {
-                            fock_builder.execute_density_screened(
-                                task,
-                                &delta,
-                                &dmax,
-                                &mut partial,
-                                &mut scratch,
-                            )
-                        };
-                    }
+                    let mut scratch = fb.scratch();
+                    let q = tasks[begin..end]
+                        .iter()
+                        .map(|t| fb.execute_with(t, screen, d, d, 0.5, &mut partial, &mut scratch))
+                        .sum();
                     Ok(Some((partial, q)))
                 }
             }
@@ -215,68 +163,22 @@ pub fn rhf_incremental_speculative(
         spec_stats.stalls += spec.stats.stalls;
         spec_stats.blocks += 1;
 
-        // Assemble G from the committed partials, in block order — the
+        // Add the committed partials in block order — the
         // deterministic-commit rule makes this sum independent of which
         // worker ran what and of how many incarnations it took.
-        if rebuild {
-            g.fill_zero();
-        }
         let mut quartets = 0;
-        for out in spec.outputs.into_iter().flatten() {
-            let (partial, q) = out;
+        for (partial, q) in spec.outputs.into_iter().flatten() {
             for (gi, pi) in g.as_mut_slice().iter_mut().zip(partial.as_slice()) {
                 *gi += pi;
             }
             quartets += q;
         }
-        quartets_per_iteration.push(quartets);
-        phases.fock = iter_start.elapsed();
-        p_prev = p.clone();
-
-        let f = h.add(&g).expect("F = H + G");
-        let e_elec = 0.5 * p.dot(&h.add(&f).expect("H+F")).expect("energy trace");
-        history.push(e_elec + enuc);
-
-        let diag_start = std::time::Instant::now();
-        let fp = f.congruence(&x).expect("F transform");
-        let eig = jacobi_eigen(&fp, 1e-12, 100).expect("Fock diagonalization");
-        let c = x.matmul(&eig.vectors).expect("back-transform");
-        let p_new = density_from_mos(&c, nocc);
-        phases.diag = diag_start.elapsed();
-        orbital_energies = eig.values.clone();
-        mo_coefficients = c;
-
-        let de = (e_elec + enuc - e_old).abs();
-        let dp = rms_diff(&p_new, &p);
-        e_old = e_elec + enuc;
-        p = p_new;
-        phases.total = iter_start.elapsed();
-        phase_timings.push(phases);
-        if it > 0 && de < config.e_tol.max(1e-8) && dp < config.d_tol.max(1e-6) {
-            converged = true;
-            break;
-        }
-    }
-
-    (
-        ScfResult {
-            energy: e_old,
-            electronic_energy: e_old - enuc,
-            nuclear_repulsion: enuc,
-            iterations,
-            converged,
-            orbital_energies,
-            density: p,
-            mo_coefficients,
-            energy_history: history,
-            phase_timings,
-        },
-        IncrementalStats {
-            quartets_per_iteration,
-            delta_norms,
-        },
-        spec_stats,
-    )
+        quartets
+    };
+    let mut strategy = IncrementalFock::new(&fb);
+    let result = rhf_with(bm, config, |p| strategy.next(p, &mut build));
+    let stats = strategy.into_stats();
+    (result, stats, spec_stats)
 }
 
 #[cfg(test)]

@@ -7,14 +7,14 @@
 //! ```
 //!
 //! built on the kernel's generalized J/K scatter
-//! ([`FockBuilder::execute_jk`]). For the execution-model study this
+//! ([`FockBuilder::execute_with`]). For the execution-model study this
 //! doubles the schedulable work per iteration (two Fock task sets) —
 //! and it provides exact correctness anchors: a one-electron atom has
 //! no two-electron energy at all, and spin-symmetry breaking at H₂
 //! dissociation must recover exactly twice the atomic energy.
 
 use crate::basis::BasisedMolecule;
-use crate::fock::FockBuilder;
+use crate::fock::{FockBuilder, Screen};
 use crate::oneint::{core_hamiltonian, overlap};
 use crate::scf::ScfConfig;
 use crate::screening::ScreenedPairs;
@@ -122,8 +122,9 @@ pub fn uhf(bm: &BasisedMolecule, multiplicity: usize, config: &ScfConfig) -> Uhf
         let mut g_a = Matrix::zeros(nbf, nbf);
         let mut g_b = Matrix::zeros(nbf, nbf);
         for t in &tasks {
-            fb.execute_jk(t, &p_total, &p_a, 1.0, &mut g_a, &mut scratch);
-            fb.execute_jk(t, &p_total, &p_b, 1.0, &mut g_b, &mut scratch);
+            let s = Screen::Schwarz;
+            fb.execute_with(t, s, &p_total, &p_a, 1.0, &mut g_a, &mut scratch);
+            fb.execute_with(t, s, &p_total, &p_b, 1.0, &mut g_b, &mut scratch);
         }
         let f_a = h.add(&g_a).expect("shapes");
         let f_b = h.add(&g_b).expect("shapes");

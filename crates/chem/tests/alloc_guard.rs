@@ -2,12 +2,14 @@
 //!
 //! A counting `#[global_allocator]` wrapper proves the scratch-buffer
 //! rework actually removed the per-quartet heap traffic: once a warmed
-//! [`EriScratch`] exists, executing every Fock task — plain, J/K and
-//! density-screened, all through the batched SoA kernel, plus the
-//! retained scalar arm — performs **zero** allocations. The batched
-//! path stages its surviving-ket list and per-ket output blocks in the
-//! scratch too (`mem::take`/restore around the kernel call), so the
-//! guard would catch a regression in that plumbing as well. The same guard
+//! [`EriScratch`] exists, executing every Fock task — the RHF
+//! `execute`, and `execute_with` under both screens and with separate
+//! Coulomb/exchange densities (the UHF case), all through the batched
+//! SoA kernel, plus the retained scalar arm — performs **zero**
+//! allocations. The batched path stages its surviving-ket list and
+//! per-ket output blocks in the scratch too (`mem::take`/restore around
+//! the kernel call), so the guard would catch a regression in that
+//! plumbing as well. The same guard
 //! covers the observability layer's zero-cost-when-off claim: driving
 //! the warmed kernel with a disabled [`SpanRecorder`] and with event
 //! recording into a pre-sized [`EventRing`] both stay allocation-free,
@@ -17,7 +19,7 @@
 //! allocations would leak into the counter.
 
 use emx_chem::basis::{BasisSet, BasisedMolecule};
-use emx_chem::fock::FockBuilder;
+use emx_chem::fock::{FockBuilder, Screen};
 use emx_chem::molecule::Molecule;
 use emx_chem::screening::ScreenedPairs;
 use emx_linalg::Matrix;
@@ -87,7 +89,7 @@ fn fock_execute_paths_are_allocation_free() {
         0.2 / (1.0 + (i as f64 - j as f64).abs())
     });
     d.symmetrize();
-    let delta = d.clone();
+    let delta = d.scaled(1e-3);
     let dmax = fb.pair_density_max(&delta);
     let mut g = Matrix::zeros(bm.nbf, bm.nbf);
     let mut scratch = fb.scratch();
@@ -103,8 +105,9 @@ fn fock_execute_paths_are_allocation_free() {
     let n = count_allocs(|| {
         for t in &tasks {
             fb.execute(t, &d, &mut g, &mut scratch);
-            fb.execute_jk(t, &d, &d, 0.5, &mut g, &mut scratch);
-            fb.execute_density_screened(t, &delta, &dmax, &mut g, &mut scratch);
+            fb.execute_with(t, Screen::Schwarz, &d, &delta, 1.0, &mut g, &mut scratch);
+            let screen = Screen::Density(&dmax);
+            fb.execute_with(t, screen, &delta, &delta, 0.5, &mut g, &mut scratch);
             fb.execute_scalar(t, &d, &mut g, &mut scratch);
         }
     });
